@@ -10,6 +10,7 @@ unimodular output.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -112,7 +113,11 @@ class Mat2:
         return (self.a11, self.a12, self.a21, self.a22)
 
     def norm(self) -> float:
-        return max(abs(complex(x)) for x in self.entries())
+        """Largest entry modulus, or NaN when an entry is NaN, so that every
+        ``<=`` bound rejects the matrix (``max`` alone skips a NaN that is
+        not first)."""
+        mods = [abs(complex(x)) for x in self.entries()]
+        return math.nan if any(map(math.isnan, mods)) else max(mods)
 
     def approx_eq(self, o: "Mat2", tol: float = TOL) -> bool:
         return (self - o).norm() <= tol

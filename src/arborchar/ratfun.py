@@ -1,10 +1,13 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q.
 
-Polynomials are sparse: a dict from exponent tuples to Fraction
-coefficients.  Exponent tuples are indexed against a global, append-only
-variable registry and stored with trailing zeros trimmed, so values stay
-canonical when later variables are registered.  The monomial order is
-graded lexicographic with earlier-registered variables taking priority.
+Polynomials are sparse: a dict from exponent tuples to coefficients.  A
+coefficient is an ``int`` when it is integral and a ``Fraction`` only when
+it is not (see ``_canon``), so arithmetic on the integer polynomials that
+``RatFun`` normalises to builds no Fraction.  Exponent tuples are indexed
+against a global, append-only variable registry and stored with trailing
+zeros trimmed, so values stay canonical when later variables are
+registered.  The monomial order is graded lexicographic with
+earlier-registered variables taking priority.
 
 Fractions of polynomials are reduced only by integer content, common
 monomial factors, and exact trial division by explicitly supplied factor
@@ -13,10 +16,9 @@ candidates; there is no general multivariate GCD.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -63,10 +65,23 @@ class VarRegistry:
 REGISTRY = VarRegistry()
 
 
-def reset_registry() -> None:
-    """Clear the session registry (test isolation only)."""
-    REGISTRY._names.clear()
-    REGISTRY._index.clear()
+def _canon(c) -> Scalar:
+    """c as an exact scalar: an int when it is integral, else a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient a / b, canonical as in ``_canon``; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _trim(exp: tuple[int, ...]) -> tuple[int, ...]:
@@ -85,15 +100,16 @@ def _grlex_key(exp: tuple[int, ...], width: int):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients, each
+    an int when integral and a Fraction otherwise."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             for exp, coef in terms.items():
-                c = Fraction(coef)
+                c = _canon(coef)
                 if c:
                     clean[_trim(tuple(exp))] = c
         self.terms = clean
@@ -121,9 +137,9 @@ class MultiPoly:
     def is_const(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Scalar:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_const():
             raise DomainError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -146,14 +162,14 @@ class MultiPoly:
     def _width(self) -> int:
         return max((len(e) for e in self.terms), default=0)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], Scalar]:
         if not self.terms:
             raise DomainError("zero polynomial has no leading term")
         w = self._width()
         exp = max(self.terms, key=lambda e: _grlex_key(e, w))
         return exp, self.terms[exp]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         w = self._width()
         return sorted(
             self.terms.items(), key=lambda kv: _grlex_key(kv[0], w), reverse=True
@@ -175,9 +191,9 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = _canon(s)
             else:
                 out.pop(e, None)
         p = MultiPoly.__new__(MultiPoly)
@@ -207,7 +223,7 @@ class MultiPoly:
         # exponents padded to one width while multiplying, trimmed after
         width = max(self._width(), o._width())
         right = [(_pad(e, width), c) for e, c in o.terms.items()]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             e1 = _pad(e1, width)
             for e2, c2 in right:
@@ -219,7 +235,7 @@ class MultiPoly:
                 else:
                     out.pop(e, None)
         p = MultiPoly.__new__(MultiPoly)
-        p.terms = {_trim(e): c for e, c in out.items()}
+        p.terms = {_trim(e): _canon(c) for e, c in out.items()}
         return p
 
     __rmul__ = __mul__
@@ -262,8 +278,7 @@ class MultiPoly:
         if self.is_zero():
             return MultiPoly.zero()
         if divisor.is_const():
-            c = divisor.const_value()
-            return MultiPoly({e: v / c for e, v in self.terms.items()})
+            return self._divscalar(divisor.const_value())
         width = max(self._width(), divisor._width())
         lead, dcoef = divisor.leading()
         dexp = _pad(lead, width)
@@ -274,7 +289,7 @@ class MultiPoly:
         rem = {_pad(e, width): c for e, c in self.terms.items()}
         heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
         heapify(heap)
-        quo: dict[tuple[int, ...], Fraction] = {}
+        quo: dict[tuple[int, ...], Scalar] = {}
         while heap:
             lexp = heappop(heap)[2]
             lcoef = rem.pop(lexp, None)
@@ -283,7 +298,7 @@ class MultiPoly:
             qe = tuple(map(sub, lexp, dexp))
             if min(qe) < 0:
                 return None
-            qc = lcoef / dcoef
+            qc = _div(lcoef, dcoef)
             quo[_trim(qe)] = qc
             for e, c in tail:
                 m = tuple(map(add, qe, e))
@@ -305,7 +320,7 @@ class MultiPoly:
 
     def coeffs_in(self, var_index: int) -> dict[int, "MultiPoly"]:
         """Split into coefficients of powers of one variable."""
-        out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        out: dict[int, dict[tuple[int, ...], Scalar]] = {}
         for e, c in self.terms.items():
             p = e[var_index] if var_index < len(e) else 0
             rest = list(_pad(e, var_index + 1))
@@ -328,7 +343,7 @@ class MultiPoly:
             return self
         width = max(self._width(), max(moves.values()) + 1)
         dest = [moves.get(i, i) for i in range(self._width())]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
             new = [0] * width
             for i, p in zip(dest, e):
@@ -337,7 +352,7 @@ class MultiPoly:
             if key in out:
                 s = out[key] + c
                 if s:
-                    out[key] = s
+                    out[key] = _canon(s)
                 else:
                     del out[key]
             else:
@@ -364,16 +379,19 @@ class MultiPoly:
 
     # -- normalization helpers ----------------------------------------------
 
-    def content(self) -> Fraction:
+    def content(self) -> Scalar:
         """Positive rational c such that self/c has coprime integer coeffs."""
         if not self.terms:
-            return Fraction(1)
+            return 1
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+            if type(c) is int:
+                num_gcd = gcd(num_gcd, c)
+            else:
+                num_gcd = gcd(num_gcd, c.numerator)
+                den_lcm = lcm(den_lcm, c.denominator)
+        return _div(num_gcd, den_lcm)
 
     def primitive(self) -> "MultiPoly":
         """Divide out content and make the leading coefficient positive."""
@@ -382,7 +400,13 @@ class MultiPoly:
         c = self.content()
         if self.leading()[1] < 0:
             c = -c
-        return MultiPoly({e: v / c for e, v in self.terms.items()})
+        return self._divscalar(c)
+
+    def _divscalar(self, c: Scalar) -> "MultiPoly":
+        """self / c for a nonzero scalar c."""
+        p = MultiPoly.__new__(MultiPoly)
+        p.terms = {e: _div(v, c) for e, v in self.terms.items()}
+        return p
 
     # -- rendering -----------------------------------------------------------
 
@@ -429,18 +453,13 @@ class MultiPoly:
     @staticmethod
     def from_json(data: dict) -> "MultiPoly":
         idx = [REGISTRY.add(n) for n in data["vars"]]
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for t in data["terms"]:
             exp = [0] * (max(idx) + 1 if idx else 0)
             for k, p in enumerate(t["exp"]):
                 exp[idx[k]] = p
             terms[_trim(tuple(exp))] = Fraction(t["coef"])
         return MultiPoly(terms)
-
-
-def poly(name: str) -> MultiPoly:
-    """Shorthand for a single registered variable."""
-    return MultiPoly.var(name)
 
 
 class RatFun:
@@ -468,24 +487,17 @@ class RatFun:
             mono = MultiPoly({_trim(shared): 1})
             n = n.divexact(mono)  # type: ignore[assignment]
             d = d.divexact(mono)  # type: ignore[assignment]
-        if d.is_const():
-            n = n * (Fraction(1) / d.const_value())
-            d = MultiPoly.const(1)
-        # joint content normalization, positive den leading coefficient
+        # joint content normalization: num and den are divided by one scalar
+        # s, so that num gets integer coefficients and den becomes the least
+        # integer multiple of its primitive part (positive leading
+        # coefficient) that allows it; a constant den becomes a positive int
         c = d.content()
         if d.leading()[1] < 0:
             c = -c
-        d = MultiPoly({e: v / c for e, v in d.terms.items()})
-        n = MultiPoly({e: v / c for e, v in n.terms.items()})
-        cn = n.content()
-        cd = d.content()
-        g = Fraction(
-            gcd(cn.numerator * cd.denominator, cd.numerator * cn.denominator),
-            cn.denominator * cd.denominator,
-        )
-        if g and g != 1:
-            n = MultiPoly({e: v / g for e, v in n.terms.items()})
-            d = MultiPoly({e: v / g for e, v in d.terms.items()})
+        s = _div(c, _div(n.content(), c).denominator)
+        if s != 1:
+            n = n._divscalar(s)
+            d = d._divscalar(s)
         self.num = n
         self.den = d
 
@@ -667,23 +679,6 @@ def _poly_subs_ratfun(p: MultiPoly, var_index: int, value: RatFun) -> RatFun:
     return result
 
 
-def arith(op: str, f: RatFun, g: RatFun | None = None) -> RatFun:
-    """Dispatch-style arithmetic entry point: add, sub, mul, div, neg."""
-    if op == "neg":
-        return -f
-    if g is None:
-        raise DomainError("binary operation needs a second operand")
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise DomainError(f"unknown operation {op!r}")
-
-
 def clear_denominators(
     eq: RatFun, known_factors: Iterable[MultiPoly] = ()
 ) -> tuple[MultiPoly, list[MultiPoly]]:
@@ -738,10 +733,6 @@ def pseudo_reduce(p: MultiPoly, c: MultiPoly, var: str) -> MultiPoly:
         lp = p_parts[dp]
         shift = MultiPoly({(0,) * i + (dp - dc,): 1})
         p = lc * p - lp * shift * c
-
-
-def dumps_poly(p: MultiPoly, **kwargs) -> str:
-    return json.dumps(p.to_json(), **kwargs)
 
 
 def schwartz_zippel_equal(

@@ -75,6 +75,14 @@ class ClosureExpr:
     body: TangleExpr
 
 
+#: Deepest expression accepted by ``parse``.  A composition adds one level
+#: to the deeper of its factors, a rational tangle [[k1],...,[ks]] counts as
+#: its s-atom expansion, and parentheses may not nest deeper either.  The
+#: parser, connectivity, engine and printer recurse once or twice per
+#: level, so this keeps every stage well inside Python's recursion limit.
+MAX_DEPTH = 200
+
+
 def _check_twist(k: int, pos: int) -> None:
     if k == 0:
         raise TangleParseError("twist parameter must be nonzero", pos)
@@ -89,6 +97,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.i = 0
+        self.nesting = 0
 
     def skip_ws(self) -> None:
         while self.i < len(self.text) and self.text[self.i].isspace():
@@ -147,9 +156,15 @@ class _Parser:
 
     def parse_atom(self) -> TangleExpr:
         if self.peek("("):
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise TangleParseError(
+                    f"parentheses nested deeper than {MAX_DEPTH}", self.i
+                )
             self.expect("(")
             node = self.parse_tangle()
             self.expect(")")
+            self.nesting -= 1
             return node
         if self.peek("[["):
             start = self.i
@@ -187,7 +202,26 @@ def parse(text: str) -> ClosureExpr | TangleExpr:
     """Parse a tangle or closure expression; errors carry a position."""
     if not text.strip():
         raise TangleParseError("empty expression", 0)
-    return _Parser(text).parse_expr()
+    expr = _Parser(text).parse_expr()
+    if tree_depth(expr) > MAX_DEPTH:
+        raise TangleParseError(f"expression deeper than {MAX_DEPTH} levels", 0)
+    return expr
+
+
+def tree_depth(expr: ClosureExpr | TangleExpr) -> int:
+    """Levels of the expression tree, a rational tangle counting as its
+    expansion; iterative, so any depth can be measured."""
+    deepest = 0
+    stack = [(expr.body if isinstance(expr, ClosureExpr) else expr, 1)]
+    while stack:
+        e, level = stack.pop()
+        if isinstance(e, (CompV, CompH)):
+            stack += ((e.left, level + 1), (e.right, level + 1))
+        elif isinstance(e, Rational):
+            deepest = max(deepest, level + len(e.ks) - 1)
+        else:
+            deepest = max(deepest, level)
+    return deepest
 
 
 def print_expr(expr: ClosureExpr | TangleExpr) -> str:

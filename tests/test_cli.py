@@ -5,6 +5,7 @@ import json
 import pytest
 
 from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, TOL_ENV, main
+from arborchar.tangle import MAX_DEPTH
 
 
 def _run(argv):
@@ -65,6 +66,25 @@ class TestComponents:
         assert capsys.readouterr().out.strip() == "2"
         assert _run(["components", "D([1/1] *v [1/2])"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "1"
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "D(" + "(" * 2000 + "[1/3]" + ")" * 2000 + ")",
+            "D(" + " *v ".join(["[1/3]"] * 3000) + ")",
+            "D([[" + "],[".join(["1"] * 3000) + "]])",
+        ],
+        ids=["deep-parentheses", "long-chain", "long-rational"],
+    )
+    def test_too_deep_is_an_input_error(self, expr, capsys):
+        assert _run(["components", expr]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and f"deeper than {MAX_DEPTH}" in err
+
+    def test_deepest_accepted_chain(self, capsys):
+        expr = "D(" + " *v ".join(["[1/3]"] * MAX_DEPTH) + ")"
+        assert _run(["components", expr]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "2"
 
 
 class TestVerify:

@@ -53,6 +53,13 @@ class TestMat2:
         assert not Mat2(2, 0, 0, 2).in_G()
 
 
+    def test_norm_with_nan_entry(self):
+        nan = float("nan")
+        assert cmath.isnan(Mat2(1, nan, 0, 1).norm())
+        assert not Mat2(1, nan, 0, 1).norm() <= 2.2
+        assert Mat2(1, -3j, 0, 1).norm() == 3
+
+
 class TestSpecial:
     def test_basic_forms(self):
         assert special("w") @ special("w") == -IDENTITY

@@ -67,6 +67,10 @@ class TestSampling:
             assert abs(complex(m.det()) - 1) < 1e-10
         assert time.monotonic() - start < 1.0
 
+    def test_sample_in_Gt_rejects_nan_trace(self):
+        with pytest.raises(ConditioningError):
+            sample_in_Gt(complex("nan"), random.Random(0))
+
     def test_conditioned_pair(self):
         t, r = 2.4 + 0.3j, 1.1 - 0.7j
         x, y = _pair(t, r)

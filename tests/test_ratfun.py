@@ -144,6 +144,86 @@ class TestMultiPoly:
         assert MultiPoly.from_json(p.to_json()) == p
 
 
+def _as_fractions(p):
+    """p with every coefficient a Fraction, integral ones included."""
+    q = MultiPoly.__new__(MultiPoly)
+    q.terms = {e: Fraction(c) for e, c in p.terms.items()}
+    return q
+
+
+def _assert_canonical(*polys):
+    """Integral coefficients are ints; a Fraction only for the rest."""
+    for p in polys:
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+class TestCoefficients:
+    """Coefficients are ints where integral, whatever the operation, and the
+    results are those of the same computation on all-Fraction operands."""
+
+    NAMES = ("t", "x", "r1")
+    COEFS = (1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-3, 2), Fraction(7, 3))
+
+    def _poly(self, rng, terms=4, deg=2):
+        p = MultiPoly.zero()
+        for _ in range(terms):
+            mono = MultiPoly.const(rng.choice(self.COEFS))
+            for name in self.NAMES:
+                mono = mono * MultiPoly.var(name) ** rng.randint(0, deg)
+            p = p + mono
+        return p
+
+    def test_cancelling_fractions_leave_ints(self):
+        t, x = _t(), _x()
+        half = Fraction(1, 2) * t
+        whole = (half + half, (Fraction(2, 3) * t) * (Fraction(3, 2) * x))
+        _assert_canonical(*whole)
+        assert whole == (t, t * x)
+        assert type(MultiPoly.const(Fraction(4, 2)).const_value()) is int
+
+    def test_polynomial_operations(self):
+        rng = random.Random(21)
+        for _ in range(30):
+            p, q = self._poly(rng), self._poly(rng) + _x() ** 3
+            fp, fq = _as_fractions(p), _as_fractions(q)
+            prod = p * q
+            results = [
+                (p + q, fp + fq),
+                (p - q, fp - fq),
+                (prod, fp * fq),
+                (p**3, fp**3),
+                (prod.divexact(q), (fp * fq).divexact(fq)),
+                (p.divexact(MultiPoly.const(Fraction(7, 3))),
+                 fp.divexact(MultiPoly.const(Fraction(7, 3)))),
+                (p.divexact(MultiPoly.const(-2)), fp.divexact(MultiPoly.const(Fraction(-2)))),
+                (p.primitive(), fp.primitive()),
+            ]
+            for got, want in results:
+                _assert_canonical(got)
+                assert got == want
+            assert prod.divexact(q) == p
+            assert (prod + 1).divexact(q) is None
+            assert (_as_fractions(prod) + 1).divexact(fq) is None
+            c = p.content()
+            assert type(c) is int or c.denominator != 1
+            assert c == fp.content()
+
+    def test_ratfun_operations(self):
+        rng = random.Random(22)
+        for _ in range(20):
+            p, q = self._poly(rng), self._poly(rng) + _x()
+            a, b = self._poly(rng), self._poly(rng) + 1
+            f = RatFun(p, q)
+            g = RatFun(_as_fractions(p), _as_fractions(q))
+            assert f.num == g.num and f.den == g.den
+            h = f.substitute("x", RatFun(a, b))
+            k = g.substitute("x", RatFun(_as_fractions(a), _as_fractions(b)))
+            assert h.num == k.num and h.den == k.den
+            for r in (f, h, f + h, f * h, f / RatFun(a, b), RatFun(p, MultiPoly.const(Fraction(7, 3)))):
+                _assert_canonical(r.num, r.den)
+
+
 class TestRatFun:
     def test_normalization(self):
         t = _t()

@@ -6,6 +6,7 @@ import pytest
 
 from arborchar.errors import TangleParseError
 from arborchar.tangle import (
+    MAX_DEPTH,
     ClosureExpr,
     CompH,
     CompV,
@@ -20,6 +21,7 @@ from arborchar.tangle import (
     print_expr,
     strand_pairing,
     to_json,
+    tree_depth,
 )
 
 
@@ -70,6 +72,26 @@ class TestParser:
     def test_json_round_trip(self):
         e = parse("D([[2],[-2]] *v [2] *v ([1/3] *h [1/2]))")
         assert from_json(to_json(e)) == e
+
+    def test_tree_depth(self):
+        assert tree_depth(parse("[3]")) == 1
+        assert tree_depth(parse("D(([3]))")) == 1
+        assert tree_depth(parse("[1] *v ([2] *h [3])")) == 3
+        # a rational tangle counts as its expansion
+        assert tree_depth(parse("[[2],[-3],[1]] *v [1]")) == 4
+
+    def test_depth_limit(self):
+        def rational(n):
+            return "[[" + "],[".join(["1"] * n) + "]]"
+
+        def nested(n):
+            return "(" * n + "[1]" + ")" * n
+
+        assert tree_depth(parse(rational(MAX_DEPTH))) == MAX_DEPTH
+        assert parse(nested(MAX_DEPTH)) == IntTwist(1)
+        for bad in (rational(MAX_DEPTH + 1), nested(MAX_DEPTH + 1)):
+            with pytest.raises(TangleParseError, match=f"deeper than {MAX_DEPTH}"):
+                parse(bad)
 
 
 class TestRational:
