@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -37,14 +38,36 @@ EXIT_VERIFY = 4
 TOL_ENV = "ARBORCHAR_TOL"
 
 
+def _tolerance(raw: str) -> float:
+    """A residual tolerance: a finite number > 0."""
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, not {raw!r}")
+    return tol
+
+
+def _count(raw: str) -> int:
+    """A sample count: an integer >= 1."""
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"count must be an integer >= 1, not {raw!r}")
+    return n
+
+
 def _default_tol() -> float:
     raw = os.environ.get(TOL_ENV)
     if raw is None:
         return 1e-9
     try:
-        return float(raw)
-    except ValueError:
-        raise SystemExit(f"invalid {TOL_ENV} value: {raw!r}")
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        _fail(EXIT_INPUT, f"{TOL_ENV}: {exc}")
 
 
 def _read_expression(args: argparse.Namespace) -> str:
@@ -247,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=SUITE_NAMES + ("all",), default="all"
     )
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--samples", type=_count, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=_tolerance, default=None)
     p_verify.add_argument("--out", help="write the JSON report to a file")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -259,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--t34", required=True)
     p_wit.add_argument("--t14", required=True)
     p_wit.add_argument("--t13", help="comma-separated t13 values")
-    p_wit.add_argument("--t13-count", type=int, default=5)
+    p_wit.add_argument("--t13-count", type=_count, default=5)
     p_wit.add_argument("--pair-file", help="JSON file with entries a1, a2")
     p_wit.add_argument("--seed", type=int, default=0)
-    p_wit.add_argument("--tol", type=float, default=None)
+    p_wit.add_argument("--tol", type=_tolerance, default=None)
     p_wit.add_argument("--out", help="write the JSON report to a file")
     p_wit.set_defaults(func=cmd_witness)
 

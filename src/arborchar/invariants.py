@@ -10,10 +10,10 @@ one coordinate; closures turn the shared data into polynomial equations.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, StructureError, WrongEngineError
+from .mat2 import chebyshev
 from .ratfun import (
     MultiPoly,
     RatFun,
@@ -57,21 +57,6 @@ def _t() -> RatFun:
     return RatFun.var("t")
 
 
-def omega_theta(k: int, r: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Second- and first-kind recursion values at a polynomial argument."""
-    m = abs(k)
-    om_prev, om = MultiPoly.const(0), MultiPoly.const(1)
-    th_prev, th = MultiPoly.const(2), r
-    if m == 0:
-        return om_prev, th_prev
-    for _ in range(m - 1):
-        om_prev, om = om, r * om - om_prev
-        th_prev, th = th, r * th - th_prev
-    if k < 0:
-        om = -om
-    return om, th
-
-
 @dataclass(frozen=True)
 class InvariantData:
     """Per-subtangle symbolic record.
@@ -94,13 +79,19 @@ class InvariantData:
 @dataclass(frozen=True)
 class Presentation:
     """Emitted character-variety data: denominator-free equations plus the
-    genericity loci they are taken relative to."""
+    genericity loci they are taken relative to.
+
+    For a knot, regions[i] is the depth-first index of the twist region
+    whose trace variables[i + 1] is (twist regions eliminated by the
+    closure have no variable).  It is not part of the JSON payload.
+    """
 
     variables: tuple[str, ...]
     equations: tuple[MultiPoly, ...]
     exclusions: tuple[MultiPoly, ...]
     notes: tuple[str, ...]
     traces: tuple[str, ...] = ()  # per-component trace variables (links)
+    regions: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
         out = {
@@ -131,9 +122,6 @@ class Presentation:
             lines.append(f"0 != {ex}")
         return "\n".join(lines)
 
-    def dumps(self, **kw) -> str:
-        return json.dumps(self.to_json(), **kw)
-
 
 # ---------------------------------------------------------------------------
 # base cases
@@ -151,7 +139,7 @@ def alpha(k: int, r: RatFun) -> RatFun:
         raise DomainError("alpha expects a polynomial argument")
     rp = r.as_poly()
     t = MultiPoly.var("t")
-    _, th = omega_theta(k, -rp)
+    th = chebyshev(k, -rp).theta
     num = 2 * t * t + (rp + 2 - t * t) * th
     q = num.divexact(rp + MultiPoly.const(2))
     if q is None:
@@ -169,7 +157,7 @@ def base_invariants(atom: TangleExpr, var_name: str | None = None) -> InvariantD
     r = RatFun.var(name)
     rp = r.as_poly()
     t = MultiPoly.var("t")
-    om, _ = omega_theta(atom.k, -rp)
+    om = chebyshev(atom.k, -rp).omega
     ucheck = RatFun((2 - rp) * (rp + 2 - t * t) * om)
     ak = alpha(atom.k, r)
     if isinstance(atom, VertTwist):
@@ -233,9 +221,7 @@ def _local_sig(s: RatFun, own: tuple[str, ...]) -> tuple:
     sort first; this matches the representative conventions of the
     simplified twist-chain closed forms.
     """
-    f = s
-    for i, v in enumerate(own):
-        f = f.substitute(v, RatFun.var(f"_sig{i}"))
+    f = s.relabel({REGISTRY.index(v): REGISTRY.add(f"_sig{i}") for i, v in enumerate(own)})
     return (-f.num.total_degree(), str(f.num), str(f.den))
 
 
@@ -376,16 +362,17 @@ class InvariantEngine:
         return data
 
 
-def _canonical_map(names: tuple[str, ...]) -> dict[str, str]:
-    return {name: f"r{i}" for i, name in enumerate(names, start=1)}
+def _region_names(names: tuple[str, ...]) -> tuple[tuple[str, ...], dict[int, int]]:
+    """The names r1..rn for fresh variables in twist-region order, and the
+    relabel moves onto them; r1..rn are registered in that order."""
+    new = tuple(f"r{i}" for i in range(1, len(names) + 1))
+    return new, {REGISTRY.index(old): REGISTRY.add(r) for old, r in zip(names, new)}
 
 
 def _rename_data(I: InvariantData) -> InvariantData:
-    m = _canonical_map(I.vars)
-    # registers r1..rn in twist-region order before any relabel
-    moves = {REGISTRY.index(old): REGISTRY.add(new) for old, new in m.items()}
+    names, moves = _region_names(I.vars)
     return InvariantData(
-        tuple(m[v] for v in I.vars),
+        names,
         I.u.relabel(moves),
         I.udot.relabel(moves),
         I.ucheck.relabel(moves),
@@ -424,6 +411,7 @@ def closure_equations(c: ClosureExpr, engine: InvariantEngine | None = None) -> 
         )
     direction = "v" if c.kind == "D" else "h"
     eng = engine if engine is not None else InvariantEngine()
+    first_atom = len(eng.atom_vars)
     I1 = eng.run(body.left)
     I2 = eng.run(body.right)
     a, J1, J2, extra, extra_notes = _unify(direction, I1, I2)
@@ -453,24 +441,13 @@ def closure_equations(c: ClosureExpr, engine: InvariantEngine | None = None) -> 
             if not any(fpoly == q for q in exclusions):
                 exclusions.append(fpoly)
 
-    names = J1.vars + J2.vars
-    m = _canonical_map(names)
-
-    def rename_poly(p: MultiPoly) -> MultiPoly:
-        # a name is registered when first met, in twist-region order within
-        # each polynomial, so the registry order (and with it term order)
-        # follows the equations
-        used = p.variables()
-        moves = {}
-        for old, new in m.items():
-            idx = REGISTRY.index(old)
-            if idx in used:
-                moves[idx] = REGISTRY.add(new)
-        return p.relabel(moves)
-
+    atoms = eng.atom_vars[first_atom:]
+    surviving = J1.vars + J2.vars
+    names, moves = _region_names(surviving)
     return Presentation(
-        ("t",) + tuple(m[v] for v in names),
-        tuple(rename_poly(p) for p in equations),
-        tuple(rename_poly(p) for p in exclusions if not p.is_const()),
+        ("t",) + names,
+        tuple(p.relabel(moves) for p in equations),
+        tuple(p.relabel(moves) for p in exclusions if not p.is_const()),
         tuple(notes),
+        regions=tuple(atoms.index(v) for v in surviving),
     )

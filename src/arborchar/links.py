@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, UnsupportedShapeError, WrongEngineError
-from .invariants import Presentation, omega_theta
+from .invariants import Presentation
+from .mat2 import chebyshev
 from .ratfun import MultiPoly, RatFun
 from .tangle import ClosureExpr, CompV, IntTwist, TangleExpr, component_count
 
@@ -82,7 +83,8 @@ def odd_twist_invariants(
         raise DomainError("two-trace twist regions require odd k")
     w = RatFun.var(udot_var)
     wp = w.as_poly()
-    om, th = omega_theta(k, -wp)
+    cheb = chebyshev(k, -wp)
+    om, th = cheb.omega, cheb.theta
     dl = _delta_at(ctx, w).as_poly()
     ratio = (th + wp).divexact(wp * wp - MultiPoly.const(4))
     if ratio is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DomainError
-from .invariants import InvariantEngine, _unify, base_invariants, closure_equations
+from .invariants import Presentation, base_invariants, closure_equations
 from .mat2 import (
     IDENTITY,
     Mat2,
@@ -788,29 +788,19 @@ def _closure_rep(c: ClosureExpr, rng: random.Random):
     raise ConditioningError("closure Newton search did not converge")
 
 
+@functools.lru_cache(maxsize=len(_PRESENTATION_CORPUS))
+def _corpus_presentation(text: str) -> Presentation:
+    return closure_equations(parse(text))
+
+
 def _suite_presentation(rng: random.Random, tol: float) -> float:
     text = _PRESENTATION_CORPUS[rng.randrange(len(_PRESENTATION_CORPUS))]
     c = parse(text)
-    pres = closure_equations(c)
-
-    # map presentation variables to twist regions via the engine's records
-    eng = InvariantEngine()
-    body = c.body
-    if isinstance(body, Rational):
-        body = expand_rational(body.ks)
-    direction = "v" if c.kind == "D" else "h"
-    i1 = eng.run(body.left)
-    i2 = eng.run(body.right)
-    _, j1, j2, _, _ = _unify(direction, i1, i2)
-    surviving = j1.vars + j2.vars
-    positions = [eng.atom_vars.index(nm) for nm in surviving]
-
+    pres = _corpus_presentation(text)
     rep, t = _closure_rep(c, rng)
     point = {"t": t}
-    for idx, pos in enumerate(positions, start=1):
-        point[f"r{idx}"] = rep.region_traces[pos]
-    for name in pres.variables:
-        point.setdefault(name, 0)
+    for name, pos in zip(pres.variables[1:], pres.regions):
+        point[name] = rep.region_traces[pos]
     res = 0.0
     for eq in pres.equations:
         val = complex(eq.eval(point))

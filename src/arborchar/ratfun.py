@@ -51,9 +51,6 @@ class VarRegistry:
     def name(self, index: int) -> str:
         return self._names[index]
 
-    def names(self) -> list[str]:
-        return list(self._names)
-
     def __contains__(self, name: str) -> bool:
         return name in self._index
 

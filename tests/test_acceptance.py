@@ -180,16 +180,10 @@ class TestAcceptance:
         # fifth equation (u-checks cancel): verify the corrected chain
         # vanishes on oracle-built closure representations while the
         # uncorrected one does not
-        from arborchar.invariants import _unify
-
         import arborchar.oracle as oracle_mod
 
         c = parse(FIG_EXPR)
-        eng = InvariantEngine()
-        i1 = eng.run(c.body.left)
-        i2 = eng.run(c.body.right)
-        _, j1, j2, _, _ = _unify("v", i1, i2)
-        positions = [eng.atom_vars.index(nm) for nm in j1.vars + j2.vars]
+        positions = pres.regions
         chain5 = d["uc_left"] + uc_right
         chain5_bad = d["uc_left"] + uc_right_bad
         good_resid = bad_resid = 0.0

@@ -119,6 +119,22 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--samples", "0"], ["--samples", "-3"], ["--tol", "nan"], ["--tol", "-1"],
+         ["--tol", "0"], ["--tol", "inf"]],
+        ids=["samples-0", "samples-negative", "tol-nan", "tol-negative", "tol-0", "tol-inf"],
+    )
+    def test_bad_flag_is_an_input_error(self, flags, capsys):
+        assert _run(["verify", "--suite", "identities", *flags]) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["nan", "abc", "-1e-9"])
+    def test_bad_env_tolerance_is_an_input_error(self, raw, capsys, monkeypatch):
+        monkeypatch.setenv(TOL_ENV, raw)
+        assert _run(["verify", "--suite", "identities", "--samples", "2"]) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
 
 class TestWitness:
     ARGS = [
@@ -142,6 +158,14 @@ class TestWitness:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["samples"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--t13-count", "-2"], ["--t13-count", "0"], ["--tol", "nan"]],
+        ids=["t13-count-negative", "t13-count-0", "tol-nan"],
+    )
+    def test_bad_flag_is_an_input_error(self, flags, capsys):
+        assert _run(self.ARGS + flags) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_complex(self, capsys):
         code = _run(["witness", "--t", "nope", "--t23", "1", "--t34", "1", "--t14", "1"])

@@ -26,6 +26,7 @@ KNOTS = {
     "pretzel-333": ["D([3] *v [3] *v [3])"],
     "vchain-5": ["D([1/3] *v [1/3] *v [1/3] *v [1/3] *v [1/3])"],
     "worked": ["D([[2],[-2]] *v [2] *v ([1/3] *h [1/2]))"],
+    "montesinos": ["D([[2],[3]] *v [[3],[2]] *v [1/2])"],
     "link-3333": ["--link", "D([3] *v [3] *v [3] *v [3])"],
 }
 

@@ -10,7 +10,6 @@ from arborchar.invariants import (
     closure_equations,
     compose,
     fg,
-    omega_theta,
     recover_grave_acute,
     tangle_invariants,
 )
@@ -156,6 +155,28 @@ class TestClosure:
         # u-dot match: alpha_1(r1) = alpha_2(r1), after clearing
         diff = (t * t - r1) - (2 + (r1 - 2) * (r1 + 2 - t * t))
         assert pres.equations[0] == diff.num.primitive() or pres.equations[0] == (-diff).num.primitive()
+
+    @pytest.mark.parametrize(
+        "expr, regions",
+        [
+            ("D([[2],[-2]] *v [2] *v ([1/3] *h [1/2]))", (0, 2, 3, 4)),
+            ("D([1/3] *v [1/3] *v [1/3] *v [1/3] *v [1/3])", (0,)),
+            ("D([3] *v [3] *v [3])", (0, 1, 2)),
+            ("D([[2],[3]] *v [[3],[2]] *v [1/2])", (0, 2)),
+        ],
+        ids=["worked", "vchain-5", "pretzel-333", "montesinos"],
+    )
+    def test_regions_name_surviving_twist_regions(self, expr, regions):
+        pres = closure_equations(parse(expr))
+        assert pres.regions == regions
+        assert pres.variables == ("t",) + tuple(f"r{i}" for i in range(1, len(regions) + 1))
+
+    def test_regions_count_from_the_closures_first_atom(self):
+        eng = InvariantEngine()
+        eng.run(parse("[2] *v [3]"))
+        pres = closure_equations(parse("D([3] *v [3] *v [3])"), eng)
+        assert pres.regions == (0, 1, 2)
+        assert len(eng.atom_vars) == 5
 
     def test_presentation_json_round_trip(self):
         from arborchar.invariants import Presentation

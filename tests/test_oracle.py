@@ -1,10 +1,13 @@
 """Numeric matrix oracle: frozen crossing conventions and verification suites."""
 
+import ast
+import inspect
 import random
 import time
 
 import pytest
 
+import arborchar.oracle as oracle
 from arborchar.errors import ConditioningError, DomainError
 from arborchar.invariants import base_invariants
 from arborchar.mat2 import Mat2, special
@@ -204,3 +207,35 @@ class TestClosureSearch:
 
     def test_secant_accepts_a_root_start(self):
         assert _secant(lambda s: s - 1.5, 1.5, 2.0) == 1.5
+
+
+class TestPresentationSuite:
+    def test_oracle_imports_no_private_engine_name(self):
+        # the oracle checks the engine, so it uses only its public surface
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module in ("invariants", "arborchar.invariants")
+            for alias in node.names
+        ]
+        assert "closure_equations" in imported
+        assert [name for name in imported if name.startswith("_")] == []
+
+    def test_each_corpus_presentation_is_built_once(self, monkeypatch):
+        calls = []
+        real = oracle.closure_equations
+
+        def counting(c, engine=None):
+            calls.append(c)
+            return real(c, engine)
+
+        monkeypatch.setattr(oracle, "closure_equations", counting)
+        oracle._corpus_presentation.cache_clear()
+        try:
+            rep = run_suite("presentation", seed=0)
+        finally:
+            oracle._corpus_presentation.cache_clear()
+        assert rep.passed, rep.failures
+        assert len(calls) == len(set(calls)) <= len(oracle._PRESENTATION_CORPUS)
