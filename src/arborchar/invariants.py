@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import DomainError, StructureError, WrongEngineError
 from .mat2 import chebyshev
 from .ratfun import (
+    FactoredRatFun,
     MultiPoly,
     RatFun,
     REGISTRY,
@@ -64,7 +65,8 @@ class InvariantData:
     vars lists the retained fresh variables in twist-region order;
     constraints are polynomials required to vanish, exclusions polynomials
     required to stay nonzero (the non-degeneracy loci); notes parallel the
-    constraints.
+    constraints.  A composed record's u-check, and its u-dot after *v, have
+    no exclusion left that divides both numerator and denominator.
     """
 
     vars: tuple[str, ...]
@@ -178,12 +180,16 @@ def fg(a: RatFun, b1: RatFun, c1: RatFun, b2: RatFun, c2: RatFun) -> tuple[RatFu
     f = ((a+2)b1b2 + 2t^2(2-b1-b2) + c1c2/(a-2)) / (2(a+2-t^2)),
     g = ((a+2)(b1c2+b2c1) - 2t^2(c1+c2)) / (2(a+2-t^2)).
     """
-    t = _t()
-    two_t2 = 2 * t * t
-    den = 2 * (a + 2 - t * t)
-    f = ((a + 2) * b1 * b2 + two_t2 * (2 - b1 - b2) + c1 * c2 / (a - 2)) / den
-    g = ((a + 2) * (b1 * c2 + b2 * c1) - two_t2 * (c1 + c2)) / den
-    return f, g
+    t2 = _t() * _t()
+    return _f(a, b1, c1, b2, c2, t2), _g(a, b1, c1, b2, c2, t2)
+
+
+def _f(a, b1, c1, b2, c2, t2):
+    return ((a + 2) * b1 * b2 + 2 * t2 * (2 - b1 - b2) + c1 * c2 / (a - 2)) / (2 * (a + 2 - t2))
+
+
+def _g(a, b1, c1, b2, c2, t2):
+    return ((a + 2) * (b1 * c2 + b2 * c1) - 2 * t2 * (c1 + c2)) / (2 * (a + 2 - t2))
 
 
 def _subst_data(I: InvariantData, var: str, value: RatFun) -> InvariantData:
@@ -311,18 +317,25 @@ def compose(direction: str, I1: InvariantData, I2: InvariantData) -> InvariantDa
         b1, b2 = J1.u, J2.u
     c1 = _rewrite_check(J1.ucheck, _shared(J1, direction), a)
     c2 = _rewrite_check(J2.ucheck, _shared(J2, direction), a)
-    f, g = fg(a, b1, c1, b2, c2)
+    exclusions = _dedup(J1.exclusions + J2.exclusions + _nondegeneracy(a))
+    # u-check, and u-dot after *v, are computed with denominators kept over
+    # the exclusions and cancelled by them; u after *h stays as the plain
+    # rules give it, because _keep_first ranks it by its representation
+    t2 = _t() * _t()
+    base = list(exclusions)
+    args = [FactoredRatFun.lift(x, base) for x in (a, b1, c1, b2, c2, t2)]
+    g = _g(*args).to_ratfun()
     if direction == "v":
-        u, udot = a, f
+        u, udot = a, _f(*args).to_ratfun()
     else:
-        u, udot = f, a
+        u, udot = _f(a, b1, c1, b2, c2, t2), a
     return InvariantData(
         J1.vars + J2.vars,
         u,
         udot,
         g,
         _dedup(J1.constraints + J2.constraints + extra),
-        _dedup(J1.exclusions + J2.exclusions + _nondegeneracy(a)),
+        exclusions,
         J1.notes + J2.notes + extra_notes,
     )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping, Union
@@ -59,7 +60,10 @@ class VarRegistry:
 
 
 #: The session-wide registry.  Variables are never re-indexed once created.
+#: The meridian trace t comes first, so it leads the monomial order whatever
+#: a process computes before its first emit.
 REGISTRY = VarRegistry()
+REGISTRY.add("t")
 
 
 def _canon(c) -> Scalar:
@@ -82,10 +86,10 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
 
 
 def _trim(exp: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(exp)
-    while n and exp[n - 1] == 0:
-        n -= 1
-    return exp[:n]
+    if exp and not exp[-1]:
+        # length up to the last nonzero exponent, found without a Python loop
+        return exp[: next(compress(range(len(exp), 0, -1), reversed(exp)), 0)]
+    return exp
 
 
 def _pad(exp: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -338,13 +342,20 @@ class MultiPoly:
         unless two monomials land on the same one."""
         if not moves or not self.terms:
             return self
-        width = max(self._width(), max(moves.values()) + 1)
-        dest = [moves.get(i, i) for i in range(self._width())]
+        n = self._width()
+        # moved positions only: a wide exponent tuple is copied, not walked
+        shift = [(i, j) for i, j in moves.items() if i < n and i != j]
+        if not shift:
+            return self
+        zeros = [0] * max(n, max(j for _, j in shift) + 1)
         out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
-            new = [0] * width
-            for i, p in zip(dest, e):
-                new[i] += p
+            new = list(e)
+            new += zeros[len(e):]
+            for i, j in shift:
+                if i < len(e) and e[i]:
+                    new[i] -= e[i]
+                    new[j] += e[i]
             key = _trim(tuple(new))
             if key in out:
                 s = out[key] + c
@@ -662,6 +673,116 @@ class RatFun:
         return RatFun(
             MultiPoly.from_json(data["num"]), MultiPoly.from_json(data["den"])
         )
+
+
+class FactoredRatFun:
+    """A rational function num / prod(base[j] ** exps[j]) whose denominator
+    is kept as powers of factors from a shared list.
+
+    Sums are taken over the least common denominator, not the product of
+    the two, and ``to_ratfun`` cancels each factor as often as it divides
+    the numerator, so a calculation whose denominators come from known
+    factors never builds the powers that a plain ``RatFun`` sum would have
+    to divide out again.  A denominator factor that is not in the list is
+    appended to it.
+    """
+
+    __slots__ = ("num", "exps", "base")
+
+    def __init__(self, num: MultiPoly, exps: dict[int, int], base: list[MultiPoly]):
+        self.num = num
+        self.exps = exps
+        self.base = base
+
+    @staticmethod
+    def lift(x: RatFun, base: list[MultiPoly]) -> "FactoredRatFun":
+        """x with its denominator factored over base."""
+        exps, scale = FactoredRatFun._factor(x.den, base)
+        return FactoredRatFun(x.num._divscalar(scale), exps, base)
+
+    @staticmethod
+    def _factor(p: MultiPoly, base: list[MultiPoly]) -> tuple[dict[int, int], Scalar]:
+        """Exponents e and a scalar s with p = s * prod(base[j] ** e[j]), by
+        exact trial division; a rest that no base factor divides is
+        appended to base."""
+        exps: dict[int, int] = {}
+        for j, c in enumerate(base):
+            if p.is_const():
+                break
+            if c.is_const():
+                continue
+            while (q := p.divexact(c)) is not None:
+                exps[j] = exps.get(j, 0) + 1
+                p = q
+        if p.is_const():
+            return exps, p.const_value()
+        base.append(p.primitive())
+        exps[len(base) - 1] = 1
+        return exps, _div(p.leading()[1], base[-1].leading()[1])
+
+    def _coerce(self, other) -> "FactoredRatFun":
+        if isinstance(other, FactoredRatFun):
+            return other
+        return FactoredRatFun(MultiPoly._coerce(other), {}, self.base)
+
+    def _raised(self, exps: Mapping[int, int]) -> MultiPoly:
+        """The numerator over the denominator with exponents exps."""
+        n = self.num
+        for j in sorted(exps):
+            k = exps[j] - self.exps.get(j, 0)
+            if k:
+                n = n * self.base[j] ** k
+        return n
+
+    def __add__(self, other) -> "FactoredRatFun":
+        o = self._coerce(other)
+        exps = {j: max(self.exps.get(j, 0), o.exps.get(j, 0))
+                for j in self.exps.keys() | o.exps.keys()}
+        return FactoredRatFun(self._raised(exps) + o._raised(exps), exps, self.base)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FactoredRatFun":
+        return FactoredRatFun(-self.num, self.exps, self.base)
+
+    def __sub__(self, other) -> "FactoredRatFun":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "FactoredRatFun":
+        return (-self) + other
+
+    def __mul__(self, other) -> "FactoredRatFun":
+        o = self._coerce(other)
+        exps = dict(self.exps)
+        for j, e in o.exps.items():
+            exps[j] = exps.get(j, 0) + e
+        return FactoredRatFun(self.num * o.num, exps, self.base)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FactoredRatFun":
+        o = self._coerce(other)
+        if o.num.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        exps, scale = self._factor(o.num, self.base)
+        for j, e in self.exps.items():
+            exps[j] = exps.get(j, 0) + e
+        num = self.num
+        for j, e in o.exps.items():
+            num = num * self.base[j] ** e
+        return FactoredRatFun(num._divscalar(scale), exps, self.base)
+
+    def to_ratfun(self) -> RatFun:
+        """The RatFun, with every base factor cancelled as often as it
+        divides both numerator and denominator."""
+        num, den = self.num, MultiPoly.const(1)
+        for j in sorted(self.exps):
+            e = self.exps[j]
+            while e and (q := num.divexact(self.base[j])) is not None:
+                num, e = q, e - 1
+            if e:
+                den = den * self.base[j] ** e
+        return RatFun(num, den)
 
 
 def _poly_subs_ratfun(p: MultiPoly, var_index: int, value: RatFun) -> RatFun:

@@ -1,10 +1,19 @@
 """Symbolic trace-coordinate calculus: base cases, composition, closures."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arborchar.errors import DomainError, StructureError, WrongEngineError
 from arborchar.invariants import (
     InvariantEngine,
+    _rewrite_check,
+    _shared,
+    _unify,
     alpha,
     base_invariants,
     closure_equations,
@@ -14,7 +23,14 @@ from arborchar.invariants import (
     tangle_invariants,
 )
 from arborchar.ratfun import MultiPoly, RatFun, pseudo_reduce
-from arborchar.tangle import IntTwist, VertTwist, parse
+from arborchar.tangle import CompV, IntTwist, Rational, VertTwist, expand_rational, parse
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests" / "golden"))
+import make_golden as golden  # noqa: E402
+
+# the ladder knots small enough to run in-process
+SMALL_KNOTS = ["trefoil", "n-2-3", "pretzel-333", "vchain-5", "worked"]
 
 
 def _t():
@@ -119,6 +135,44 @@ class TestCompose:
         with pytest.raises(DomainError):
             compose("x", base_invariants(IntTwist(2)), base_invariants(IntTwist(3)))
 
+    # trefoil and n-2-3 compose only in their closure
+    @pytest.mark.parametrize("name", ["pretzel-333", "vchain-5", "worked"])
+    def test_records_are_cancelled_by_their_exclusions(self, name):
+        """Every composed record's u-check, and its u-dot after *v, has no
+        exclusion factor left to cancel, and equals the uncancelled rules."""
+        body = parse(golden.KNOTS[name][0]).body
+        eng = InvariantEngine()
+        eng.run(body.left)
+        eng.run(body.right)
+        records = iter(eng.history)
+        steps = []
+
+        def walk(expr):  # the engine's depth-first order, with each node's inputs
+            if isinstance(expr, Rational):
+                return walk(expand_rational(expr.ks))
+            if isinstance(expr, (IntTwist, VertTwist)):
+                return next(records)
+            I1, I2 = walk(expr.left), walk(expr.right)
+            out = next(records)
+            steps.append(("v" if isinstance(expr, CompV) else "h", I1, I2, out))
+            return out
+
+        walk(body.left)
+        walk(body.right)
+        assert next(records, None) is None and steps
+        for d, I1, I2, out in steps:
+            a, J1, J2, _, _ = _unify(d, I1, I2)
+            c1 = _rewrite_check(J1.ucheck, _shared(J1, d), a)
+            c2 = _rewrite_check(J2.ucheck, _shared(J2, d), a)
+            b1, b2 = (J1.udot, J2.udot) if d == "v" else (J1.u, J2.u)
+            f, g = fg(a, b1, c1, b2, c2)
+            cancelled = [out.ucheck] + ([out.udot] if d == "v" else [])
+            for x in cancelled:
+                y = x.reduce(out.exclusions)
+                assert (y.num, y.den) == (x.num, x.den)
+            assert out.ucheck.equals(g)
+            assert (out.udot if d == "v" else out.u).equals(f)
+
 
 class TestEngine:
     def test_history_and_atom_vars(self):
@@ -177,6 +231,27 @@ class TestClosure:
         pres = closure_equations(parse("D([3] *v [3] *v [3])"), eng)
         assert pres.regions == (0, 1, 2)
         assert len(eng.atom_vars) == 5
+
+    def test_output_does_not_depend_on_earlier_link_presentation(self):
+        # a fresh interpreter, so that the link presentation is the first to
+        # register variables (r1..r4, before any knot's t); the emits follow
+        # in the same process
+        code = (
+            "import json, sys\n"
+            "from arborchar.invariants import closure_equations\n"
+            "from arborchar.links import pretzel3333_presentation\n"
+            "from arborchar.tangle import parse\n"
+            "pretzel3333_presentation()\n"
+            "for expr in json.loads(sys.argv[1]):\n"
+            "    print(json.dumps(closure_equations(parse(expr)).to_json()))\n"
+        )
+        exprs = [golden.KNOTS[name][0] for name in SMALL_KNOTS]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        res = subprocess.run([sys.executable, "-c", code, json.dumps(exprs)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        for name, line in zip(SMALL_KNOTS, res.stdout.splitlines(), strict=True):
+            assert json.loads(line) == golden.stored(name), name
 
     def test_presentation_json_round_trip(self):
         from arborchar.invariants import Presentation

@@ -7,6 +7,7 @@ import pytest
 
 from arborchar.errors import ConditioningError, DomainError
 from arborchar.ratfun import (
+    FactoredRatFun,
     MultiPoly,
     RatFun,
     REGISTRY,
@@ -284,6 +285,64 @@ class TestRatFun:
         x = RatFun.var("x")
         f = (t * t - x) / (x + 3)
         assert RatFun.from_json(f.to_json()).equals(f)
+
+
+class TestFactoredRatFun:
+    """Arithmetic over denominators kept as powers of known factors gives
+    the RatFun result, with every known factor cancelled that can be."""
+
+    def _base(self):
+        t, x = _t(), _x()
+        return [t - 2, x + 1, t * x - 3, (t - 2) * (x + 1)]
+
+    def _ratfun(self, rng, base):
+        den = MultiPoly.const(rng.choice((1, 2, -3)))
+        for f in base:
+            den = den * f ** rng.randint(0, 1)
+        return RatFun(_random_poly(rng, ("t", "x"), terms=3, deg=2) + 1, den)
+
+    def test_matches_ratfun_arithmetic(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            base = self._base()
+            a, b, c = (self._ratfun(rng, base[:3]) for _ in range(3))
+            b = b * RatFun(_t() + 3, _x() - 5)  # a factor outside the base
+            want = (a + 2) * b * c - (c - a) / (b + 1)
+            lifted = [FactoredRatFun.lift(v, base) for v in (a, b, c)]
+            fa, fb, fc = lifted
+            got = ((fa + 2) * fb * fc - (fc - fa) / (fb + 1)).to_ratfun()
+            assert got.equals(want)
+            for f in base:
+                assert got.den.divexact(f) is None or got.num.divexact(f) is None
+
+    def test_sum_over_least_common_denominator(self):
+        base = self._base()
+        p = base[0]
+        half = FactoredRatFun.lift(RatFun(1, p), base)
+        total = (half + half).to_ratfun()
+        assert total.den == p and total.num == 2
+        # RatFun alone multiplies the denominators and keeps the product
+        assert (RatFun(1, p) + RatFun(1, p)).den == p * p
+
+    def test_cancels_known_factors(self):
+        base = self._base()
+        t, x = _t(), _x()
+        f = FactoredRatFun.lift(RatFun(t * t - 4, (t - 2) * (x + 1)), base)
+        assert f.to_ratfun().den == x + 1
+        assert f.to_ratfun().num == t + 2
+
+    def test_foreign_factor_is_appended(self):
+        base = self._base()
+        q = 2 * _x() * _x() - 6
+        f = FactoredRatFun.lift(RatFun(1, q), base)
+        assert len(base) == 5 and base[4] == q.primitive()
+        assert f.to_ratfun().equals(RatFun(1, q))
+
+    def test_division_by_zero(self):
+        base = self._base()
+        one = FactoredRatFun.lift(RatFun(1), base)
+        with pytest.raises(ZeroDivisionError):
+            one / (one - 1)
 
 
 class TestHelpers:
