@@ -18,10 +18,8 @@ from . import __version__
 from .errors import (
     ArborError,
     GenericityError,
-    StructureError,
     TangleParseError,
     UnsupportedShapeError,
-    WrongEngineError,
 )
 from .invariants import Presentation, closure_equations
 from .links import link_presentation
@@ -126,8 +124,6 @@ def cmd_emit(args: argparse.Namespace) -> int:
             pres = closure_equations(closure)
     except UnsupportedShapeError as exc:
         _fail(EXIT_UNSUPPORTED, str(exc))
-    except (WrongEngineError, StructureError, ArborError) as exc:
-        _fail(EXIT_INPUT, str(exc))
     if args.format == "json":
         payload = pres.to_json()
         payload["provenance"] = _provenance(expr=text)

@@ -1,15 +1,16 @@
 """Trace-coordinate calculus for arborescent tangles.
 
 Each subtangle carries a triple of trace coordinates (u, u-dot, u-check)
-as exact rational functions in the meridian trace t and one fresh variable
-per twist region.  Twist regions get closed forms through Chebyshev-like
-recursions; compositions combine triples through the f/g rules, sharing
-one coordinate; closures turn the shared data into polynomial equations.
+as exact rational functions in the meridian trace t and one variable per
+twist region.  An InvariantEngine names the i-th twist region it meets
+_v{i}, so two engines running the same expression give the same records.
+Twist regions get closed forms through Chebyshev-like recursions;
+compositions combine triples through the f/g rules, sharing one
+coordinate; closures turn the shared data into polynomial equations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, StructureError, WrongEngineError
@@ -47,13 +48,6 @@ __all__ = [
     "closure_equations",
 ]
 
-_FRESH = itertools.count(1)
-
-
-def _fresh_var() -> str:
-    return f"_v{next(_FRESH)}"
-
-
 def _t() -> RatFun:
     return RatFun.var("t")
 
@@ -62,7 +56,7 @@ def _t() -> RatFun:
 class InvariantData:
     """Per-subtangle symbolic record.
 
-    vars lists the retained fresh variables in twist-region order;
+    vars lists the retained twist-region variables in depth-first order;
     constraints are polynomials required to vanish, exclusions polynomials
     required to stay nonzero (the non-degeneracy loci); notes parallel the
     constraints.  A composed record's u-check, and its u-dot after *v, have
@@ -149,14 +143,14 @@ def alpha(k: int, r: RatFun) -> RatFun:
     return RatFun(q)
 
 
-def base_invariants(atom: TangleExpr, var_name: str | None = None) -> InvariantData:
-    """Closed-form triple for a single twist region [k] or [1/k]."""
+def base_invariants(atom: TangleExpr, var_name: str) -> InvariantData:
+    """Closed-form triple for a single twist region [k] or [1/k], whose
+    trace is the variable var_name."""
     if not isinstance(atom, (IntTwist, VertTwist)):
         raise DomainError("base_invariants expects a twist atom")
     if atom.k == 0:
         raise DomainError("twist parameter must be nonzero")
-    name = var_name or _fresh_var()
-    r = RatFun.var(name)
+    r = RatFun.var(var_name)
     rp = r.as_poly()
     t = MultiPoly.var("t")
     om = chebyshev(atom.k, -rp).omega
@@ -166,7 +160,7 @@ def base_invariants(atom: TangleExpr, var_name: str | None = None) -> InvariantD
         u, udot = r, ak
     else:
         u, udot = ak, r
-    return InvariantData((name,), u, udot, ucheck)
+    return InvariantData((var_name,), u, udot, ucheck)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +215,9 @@ def _bare_own_var(I: InvariantData, direction: str) -> str | None:
 def _local_sig(s: RatFun, own: tuple[str, ...]) -> tuple:
     """Order-free fingerprint of a shared coordinate.
 
-    The factor's own fresh variables are renamed to fixed placeholders in
-    their twist-region order, so the fingerprint does not depend on which
-    names the variables happened to receive.  Higher-degree coordinates
+    The factor's own twist-region variables are renamed to fixed
+    placeholders in their depth-first order, so the fingerprint does not
+    depend on where in the tree the factor sits.  Higher-degree coordinates
     sort first; this matches the representative conventions of the
     simplified twist-chain closed forms.
     """
@@ -232,7 +226,11 @@ def _local_sig(s: RatFun, own: tuple[str, ...]) -> tuple:
 
 
 def _keep_first(s1: RatFun, I1: InvariantData, s2: RatFun, I2: InvariantData) -> bool:
-    """Canonical representative choice; invariant under swapping factors."""
+    """Canonical representative choice; invariant under swapping factors.
+
+    Ties go to the factor whose first twist region comes first depth-first
+    (its variable has the lower registry index, see _unify).
+    """
     k1, k2 = _local_sig(s1, I1.vars), _local_sig(s2, I2.vars)
     if k1 != k2:
         return k1 < k2
@@ -245,8 +243,10 @@ def _unify(
     """Identify the shared coordinate of the two factors.
 
     Eliminates by substitution when a side's shared coordinate is a bare
-    fresh variable (when both are bare, the later-registered variable is
-    eliminated, which makes the rule symmetric in the two factors);
+    twist-region variable (when both are bare, the later twist region's
+    variable is eliminated, which makes the rule symmetric in the two
+    factors: an engine registers _v1.._vn in depth-first order, so registry
+    order is depth-first order);
     otherwise records a vanishing constraint and keeps a canonically
     chosen representative so the result is order-independent.
     """
@@ -310,6 +310,8 @@ def compose(direction: str, I1: InvariantData, I2: InvariantData) -> InvariantDa
     """Combine two factor records across *v (shared u) or *h (shared u-dot)."""
     if direction not in ("v", "h"):
         raise DomainError("direction must be 'v' or 'h'")
+    if set(I1.vars) & set(I2.vars):
+        raise DomainError("factors share a twist-region variable")
     a, J1, J2, extra, extra_notes = _unify(direction, I1, I2)
     if direction == "v":
         b1, b2 = J1.udot, J2.udot
@@ -354,17 +356,21 @@ def recover_grave_acute(I: InvariantData) -> tuple[RatFun, RatFun]:
 
 
 class InvariantEngine:
-    """DFS evaluator; keeps every produced record for audit."""
+    """DFS evaluator; keeps every produced record for audit.
+
+    The engine is the naming scope of its twist regions: the i-th twist
+    atom it runs, counted over all its runs, gets the variable _v{i}.
+    """
 
     def __init__(self) -> None:
         self.history: list[InvariantData] = []
-        self.atom_vars: list[str] = []  # fresh variable per twist atom, DFS order
+        self.atom_vars: list[str] = []  # variable per twist atom, DFS order
 
     def run(self, expr: TangleExpr) -> InvariantData:
         if isinstance(expr, Rational):
             return self.run(expand_rational(expr.ks))
         if isinstance(expr, (IntTwist, VertTwist)):
-            data = base_invariants(expr)
+            data = base_invariants(expr, f"_v{len(self.atom_vars) + 1}")
             self.atom_vars.append(data.vars[0])
         elif isinstance(expr, (CompV, CompH)):
             d = "v" if isinstance(expr, CompV) else "h"
@@ -376,8 +382,8 @@ class InvariantEngine:
 
 
 def _region_names(names: tuple[str, ...]) -> tuple[tuple[str, ...], dict[int, int]]:
-    """The names r1..rn for fresh variables in twist-region order, and the
-    relabel moves onto them; r1..rn are registered in that order."""
+    """The names r1..rn for twist-region variables in depth-first order, and
+    the relabel moves onto them; r1..rn are registered in that order."""
     new = tuple(f"r{i}" for i in range(1, len(names) + 1))
     return new, {REGISTRY.index(old): REGISTRY.add(r) for old, r in zip(names, new)}
 

@@ -21,7 +21,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import ConditioningError, DomainError
 
@@ -851,16 +851,3 @@ def pseudo_reduce(p: MultiPoly, c: MultiPoly, var: str) -> MultiPoly:
         lp = p_parts[dp]
         shift = MultiPoly({(0,) * i + (dp - dc,): 1})
         p = lc * p - lp * shift * c
-
-
-def schwartz_zippel_equal(
-    f: RatFun, g: RatFun, points: Iterator[Mapping[str, Scalar]]
-) -> bool:
-    """Probabilistic equality check at supplied rational points (test aid)."""
-    for pt in points:
-        try:
-            if f.eval_exact(pt) != g.eval_exact(pt):
-                return False
-        except ZeroDivisionError:
-            continue
-    return True

@@ -288,8 +288,11 @@ class TestAcceptance:
             e1 = _small_tangle(rng, composite=False)
             e2 = _small_tangle(rng, composite=rng.random() < 0.5)
             direction = rng.choice(("v", "h"))
-            i1 = InvariantEngine().run(e1)
-            i2 = InvariantEngine().run(e2)
+            # one engine for both factors, so their twist regions get
+            # distinct variables, as in a composed tree
+            eng = InvariantEngine()
+            i1 = eng.run(e1)
+            i2 = eng.run(e2)
             try:
                 a = compose(direction, i1, i2)
             except ZeroDivisionError:

@@ -71,16 +71,16 @@ class TestBase:
     def test_base_identity3_exact(self):
         t = _t()
         for atom in (IntTwist(3), VertTwist(2), IntTwist(-4), VertTwist(-3)):
-            d = base_invariants(atom)
+            d = base_invariants(atom, "s")
             lhs = d.ucheck * d.ucheck
             rhs = (d.u - 2) * (d.udot - 2) * ((d.u + 2) * (d.udot + 2) - 4 * t * t)
             assert lhs.equals(rhs)
 
     def test_rejects_non_atom(self):
         with pytest.raises(DomainError):
-            base_invariants(parse("[2] *v [3]"))
+            base_invariants(parse("[2] *v [3]"), "s")
         with pytest.raises(DomainError):
-            base_invariants(IntTwist(0))
+            base_invariants(IntTwist(0), "s")
 
 
 class TestCompose:
@@ -95,22 +95,22 @@ class TestCompose:
     def test_compose_bare_substitution(self):
         # *v between [1/2] and [1/3]: both u-coordinates bare, so the later
         # variable is eliminated and no constraint is recorded
-        I1 = base_invariants(VertTwist(2))
-        I2 = base_invariants(VertTwist(3))
+        I1 = base_invariants(VertTwist(2), "c1")
+        I2 = base_invariants(VertTwist(3), "c2")
         out = compose("v", I1, I2)
         assert out.constraints == ()
         assert len(out.vars) == 1
 
     def test_compose_constraint_when_not_bare(self):
-        I1 = base_invariants(IntTwist(2))
-        I2 = base_invariants(IntTwist(3))
+        I1 = base_invariants(IntTwist(2), "c1")
+        I2 = base_invariants(IntTwist(3), "c2")
         out = compose("v", I1, I2)  # u = alpha_k(r) on both sides: constraint
         assert len(out.constraints) == 1
         assert len(out.vars) == 2
 
     def test_compose_symmetry_with_substitution(self):
-        I1 = base_invariants(IntTwist(2))
-        I2 = base_invariants(VertTwist(3))
+        I1 = base_invariants(IntTwist(2), "c1")
+        I2 = base_invariants(VertTwist(3), "c2")
         a = compose("v", I1, I2)
         b = compose("v", I2, I1)
         assert a.u.equals(b.u)
@@ -119,21 +119,31 @@ class TestCompose:
 
     def test_identity3_preserved_exactly(self):
         t = _t()
-        d = compose("v", base_invariants(VertTwist(2)), base_invariants(VertTwist(3)))
+        d = compose("v", base_invariants(VertTwist(2), "c1"), base_invariants(VertTwist(3), "c2"))
         lhs = d.ucheck * d.ucheck
         rhs = (d.u - 2) * (d.udot - 2) * ((d.u + 2) * (d.udot + 2) - 4 * t * t)
         assert lhs.equals(rhs)
 
     def test_recover_grave_acute(self):
         t = _t()
-        d = base_invariants(IntTwist(2))
+        d = base_invariants(IntTwist(2), "c1")
         ug, ua = recover_grave_acute(d)
         assert (ug + ua + d.u * d.udot).equals(2 * t * t)
         assert (ug - ua).equals(d.ucheck)
 
     def test_direction_validated(self):
         with pytest.raises(DomainError):
-            compose("x", base_invariants(IntTwist(2)), base_invariants(IntTwist(3)))
+            compose("x", base_invariants(IntTwist(2), "c1"), base_invariants(IntTwist(3), "c2"))
+
+    def test_shared_variable_rejected(self):
+        # records of two engines both name their first twist region _v1;
+        # composing them would identify two different twist regions
+        I1 = InvariantEngine().run(parse("[2] *v [3]"))
+        I2 = InvariantEngine().run(parse("[1/3]"))
+        assert set(I1.vars) & set(I2.vars)
+        for d in ("v", "h"):
+            with pytest.raises(DomainError, match="share a twist-region variable"):
+                compose(d, I1, I2)
 
     # trefoil and n-2-3 compose only in their closure
     @pytest.mark.parametrize("name", ["pretzel-333", "vchain-5", "worked"])
@@ -182,6 +192,14 @@ class TestEngine:
         assert len(eng.atom_vars) == 3
         assert len(eng.history) == 5
 
+    @pytest.mark.parametrize("expr", ["[[2],[-2]] *v [2]", "([1/3] *h [1/2]) *v [3]"])
+    def test_engines_name_alike(self, expr):
+        a, b = InvariantEngine(), InvariantEngine()
+        ra, rb = a.run(parse(expr)), b.run(parse(expr))
+        assert a.atom_vars == b.atom_vars == [f"_v{i}" for i in range(1, len(a.atom_vars) + 1)]
+        assert ra.vars == rb.vars
+        assert ra.u.equals(rb.u) and ra.udot.equals(rb.udot) and ra.ucheck.equals(rb.ucheck)
+
     def test_tangle_invariants_renames(self):
         d = tangle_invariants(parse("[2] *v [3]"))
         assert d.vars == ("r1", "r2")
@@ -217,8 +235,9 @@ class TestClosure:
             ("D([1/3] *v [1/3] *v [1/3] *v [1/3] *v [1/3])", (0,)),
             ("D([3] *v [3] *v [3])", (0, 1, 2)),
             ("D([[2],[3]] *v [[3],[2]])", (0, 2)),
+            ("D([[2],[3]] *v [[3],[2]] *v [1/2])", (0, 2)),
         ],
-        ids=["worked", "vchain-5", "pretzel-333", "two-rationals"],
+        ids=["worked", "vchain-5", "pretzel-333", "two-rationals", "montesinos"],
     )
     def test_regions_name_surviving_twist_regions(self, expr, regions):
         pres = closure_equations(parse(expr))
@@ -252,6 +271,34 @@ class TestClosure:
         assert res.returncode == 0, res.stderr
         for name, line in zip(SMALL_KNOTS, res.stdout.splitlines(), strict=True):
             assert json.loads(line) == golden.stored(name), name
+
+    def test_repeated_emits_register_no_names(self):
+        # a fresh interpreter emits the knots twice; every engine names its
+        # twist regions _v1, _v2, ..., so the second pass adds nothing to
+        # the variable registry, and both passes give the stored payloads
+        code = (
+            "import json, sys\n"
+            "from arborchar.invariants import closure_equations\n"
+            "from arborchar.ratfun import REGISTRY\n"
+            "from arborchar.tangle import parse\n"
+            "exprs = json.loads(sys.argv[1])\n"
+            "for _ in range(2):\n"
+            "    for expr in exprs:\n"
+            "        print(json.dumps(closure_equations(parse(expr)).to_json()))\n"
+            "    print(len(REGISTRY))\n"
+        )
+        names = ["trefoil", "pretzel-333", "worked", "montesinos"]
+        exprs = [golden.KNOTS[name][0] for name in names]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        res = subprocess.run([sys.executable, "-c", code, json.dumps(exprs)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert len(lines) == 2 * (len(names) + 1)
+        first, second = lines[: len(names) + 1], lines[len(names) + 1:]
+        assert int(first[-1]) == int(second[-1])
+        for name, a, b in zip(names, first, second):
+            assert json.loads(a) == json.loads(b) == golden.stored(name), name
 
     def test_presentation_json_round_trip(self):
         from arborchar.invariants import Presentation

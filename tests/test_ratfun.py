@@ -13,7 +13,6 @@ from arborchar.ratfun import (
     REGISTRY,
     clear_denominators,
     pseudo_reduce,
-    schwartz_zippel_equal,
 )
 
 
@@ -364,12 +363,3 @@ class TestHelpers:
         assert not pseudo_reduce(q, c, "x").is_zero()
         with pytest.raises(DomainError):
             pseudo_reduce(p, _t() * 2, "x")
-
-    def test_schwartz_zippel(self):
-        t = RatFun.var("t")
-        f = (t * t - 1) / (t - 1)
-        g = t + 1
-        pts = iter([{"t": Fraction(k, 7)} for k in range(20)])
-        assert schwartz_zippel_equal(f, g, pts)
-        pts = iter([{"t": Fraction(k, 7)} for k in range(20)])
-        assert not schwartz_zippel_equal(f, g + 1, pts)
