@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, StructureError, WrongEngineError
 from .mat2 import chebyshev
-from .ratfun import (
-    FactoredRatFun,
-    MultiPoly,
-    RatFun,
-    REGISTRY,
-    _poly_subs_ratfun,
-    clear_denominators,
-)
+from .ratfun import FactoredRatFun, MultiPoly, RatFun, clear_denominators, earliest
 from .tangle import (
     ClosureExpr,
     CompH,
@@ -58,9 +51,10 @@ class InvariantData:
 
     vars lists the retained twist-region variables in depth-first order;
     constraints are polynomials required to vanish, exclusions polynomials
-    required to stay nonzero (the non-degeneracy loci); notes parallel the
-    constraints.  A composed record's u-check, and its u-dot after *v, have
-    no exclusion left that divides both numerator and denominator.
+    required to stay nonzero (the non-degeneracy loci, each once up to
+    sign); notes parallel the constraints.  A composed record's u-check,
+    and its u-dot after *v, have no exclusion left that divides both
+    numerator and denominator.
     """
 
     vars: tuple[str, ...]
@@ -187,10 +181,9 @@ def _g(a, b1, c1, b2, c2, t2):
 
 
 def _subst_data(I: InvariantData, var: str, value: RatFun) -> InvariantData:
+    # constraints and exclusions are integer polynomials, so RatFun(p).num is p
     def sub_poly(p: MultiPoly) -> MultiPoly:
-        if REGISTRY.index(var) not in p.variables():
-            return p
-        return _poly_subs_ratfun(p, REGISTRY.index(var), value).num
+        return RatFun(p).substitute(var, value).num
 
     return InvariantData(
         tuple(v for v in I.vars if v != var),
@@ -221,20 +214,22 @@ def _local_sig(s: RatFun, own: tuple[str, ...]) -> tuple:
     sort first; this matches the representative conventions of the
     simplified twist-chain closed forms.
     """
-    f = s.relabel({REGISTRY.index(v): REGISTRY.add(f"_sig{i}") for i, v in enumerate(own)})
+    f = s.relabel({v: f"_sig{i}" for i, v in enumerate(own)})
     return (-f.num.total_degree(), str(f.num), str(f.den))
 
 
 def _keep_first(s1: RatFun, I1: InvariantData, s2: RatFun, I2: InvariantData) -> bool:
     """Canonical representative choice; invariant under swapping factors.
 
-    Ties go to the factor whose first twist region comes first depth-first
-    (its variable has the lower registry index, see _unify).
+    Ties go to the factor whose earliest variable in the monomial order
+    (ratfun.earliest) comes before the other factor's earliest: the one
+    whose first twist region comes first depth-first (see _unify).
     """
     k1, k2 = _local_sig(s1, I1.vars), _local_sig(s2, I2.vars)
     if k1 != k2:
         return k1 < k2
-    return min(map(REGISTRY.index, I1.vars)) < min(map(REGISTRY.index, I2.vars))
+    first1 = earliest(I1.vars)
+    return earliest((first1, earliest(I2.vars))) == first1
 
 
 def _unify(
@@ -243,10 +238,10 @@ def _unify(
     """Identify the shared coordinate of the two factors.
 
     Eliminates by substitution when a side's shared coordinate is a bare
-    twist-region variable (when both are bare, the later twist region's
-    variable is eliminated, which makes the rule symmetric in the two
-    factors: an engine registers _v1.._vn in depth-first order, so registry
-    order is depth-first order);
+    twist-region variable (when both are bare, the one later in the
+    monomial order, see ratfun.earliest, is eliminated; an engine registers
+    _v1.._vn in depth-first order, so that is the later twist region's
+    variable, and the rule is symmetric in the two factors);
     otherwise records a vanishing constraint and keeps a canonically
     chosen representative so the result is order-independent.
     """
@@ -255,7 +250,7 @@ def _unify(
     extra: tuple[MultiPoly, ...] = ()
     notes: tuple[str, ...] = ()
     if v1 and v2:
-        if REGISTRY.index(v1) < REGISTRY.index(v2):
+        if earliest((v1, v2)) == v1:
             I2 = _subst_data(I2, v2, s1)
             a = s1
         else:
@@ -306,6 +301,12 @@ def _dedup(polys: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
     return tuple(out)
 
 
+def _loci(polys: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
+    """Exclusion polynomials without repeats up to sign (p != 0 and -p != 0
+    are one locus); first occurrences are kept."""
+    return tuple(p for i, p in enumerate(polys) if p not in polys[:i] and -p not in polys[:i])
+
+
 def compose(direction: str, I1: InvariantData, I2: InvariantData) -> InvariantData:
     """Combine two factor records across *v (shared u) or *h (shared u-dot)."""
     if direction not in ("v", "h"):
@@ -319,7 +320,7 @@ def compose(direction: str, I1: InvariantData, I2: InvariantData) -> InvariantDa
         b1, b2 = J1.u, J2.u
     c1 = _rewrite_check(J1.ucheck, _shared(J1, direction), a)
     c2 = _rewrite_check(J2.ucheck, _shared(J2, direction), a)
-    exclusions = _dedup(J1.exclusions + J2.exclusions + _nondegeneracy(a))
+    exclusions = _loci(J1.exclusions + J2.exclusions + _nondegeneracy(a))
     # u-check, and u-dot after *v, are computed with denominators kept over
     # the exclusions and cancelled by them; u after *h stays as the plain
     # rules give it, because _keep_first ranks it by its representation
@@ -381,17 +382,16 @@ class InvariantEngine:
         return data
 
 
-def _region_names(names: tuple[str, ...]) -> tuple[tuple[str, ...], dict[int, int]]:
-    """The names r1..rn for twist-region variables in depth-first order, and
-    the relabel moves onto them; r1..rn are registered in that order."""
-    new = tuple(f"r{i}" for i in range(1, len(names) + 1))
-    return new, {REGISTRY.index(old): REGISTRY.add(r) for old, r in zip(names, new)}
+def _region_names(names: tuple[str, ...]) -> dict[str, str]:
+    """The relabel map from twist-region variables, in depth-first order,
+    onto r1..rn; the first relabel by it registers r1..rn in that order."""
+    return dict(zip(names, (f"r{i}" for i in range(1, len(names) + 1))))
 
 
 def _rename_data(I: InvariantData) -> InvariantData:
-    names, moves = _region_names(I.vars)
+    moves = _region_names(I.vars)
     return InvariantData(
-        names,
+        tuple(moves.values()),
         I.u.relabel(moves),
         I.udot.relabel(moves),
         I.ucheck.relabel(moves),
@@ -443,28 +443,19 @@ def closure_equations(c: ClosureExpr, engine: InvariantEngine | None = None) -> 
         diff_note = "closure: u coordinates match"
     total = J1.ucheck + J2.ucheck
 
-    exclusions = list(_dedup(J1.exclusions + J2.exclusions + _nondegeneracy(a)))
-    equations: list[MultiPoly] = []
-    notes: list[str] = []
-    for p, note in zip(
-        J1.constraints + J2.constraints + extra,
-        J1.notes + J2.notes + extra_notes,
-    ):
-        equations.append(p)
-        notes.append(note)
+    exclusions = _loci(J1.exclusions + J2.exclusions + _nondegeneracy(a))
+    equations = list(J1.constraints + J2.constraints + extra)
+    notes = list(J1.notes + J2.notes + extra_notes)
     for val, note in ((diff, diff_note), (total, "closure: u-checks cancel")):
-        num, factors = clear_denominators(val, exclusions)
+        num, exclusions = clear_denominators(val, exclusions)
         equations.append(num)
         notes.append(note)
-        for fpoly in factors:
-            if not any(fpoly == q for q in exclusions):
-                exclusions.append(fpoly)
 
     atoms = eng.atom_vars[first_atom:]
     surviving = J1.vars + J2.vars
-    names, moves = _region_names(surviving)
+    moves = _region_names(surviving)
     return Presentation(
-        ("t",) + names,
+        ("t",) + tuple(moves.values()),
         tuple(p.relabel(moves) for p in equations),
         tuple(p.relabel(moves) for p in exclusions if not p.is_const()),
         tuple(notes),

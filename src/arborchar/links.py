@@ -119,14 +119,14 @@ def _eq29(r: RatFun, ctx: TwoTraceContext) -> MultiPoly:
     return val.num
 
 
-def pretzel3333_presentation(ctx: TwoTraceContext | None = None) -> Presentation:
+def pretzel3333_presentation() -> Presentation:
     """Excellent-part presentation of the vertical pretzel of four [3]s.
 
     Equations: the cubic twist relation for each r_i, the eigenvalue
     relation lam^2 - tau*lam + 1 = 0, and the cleared product condition
     prod(mu_i/mu_{i+1}) = 1, i.e. prod(numerators) = delta^4.
     """
-    ctx = ctx or TwoTraceContext()
+    ctx = TwoTraceContext()
     rs = [RatFun.var(f"r{i}") for i in range(1, 5)]
     equations: list[MultiPoly] = []
     notes: list[str] = []

@@ -104,11 +104,6 @@ class Mat2:
         """c * self * c^{-1}."""
         return c @ self @ c.inv()
 
-    def is_exact(self) -> bool:
-        return all(
-            _is_exact(x) for x in (self.a11, self.a12, self.a21, self.a22)
-        )
-
     def entries(self) -> tuple[Number, Number, Number, Number]:
         return (self.a11, self.a12, self.a21, self.a22)
 

@@ -9,9 +9,18 @@ zeros trimmed, so values stay canonical when later variables are
 registered.  The monomial order is graded lexicographic with
 earlier-registered variables taking priority.
 
+This module is the only one that maps variable names to exponent
+positions.  Other modules work by name: ``relabel`` takes a
+``{old_name: new_name}`` map, ``earliest`` says which of some variables
+comes first in the monomial order, and ``RatFun.substitute`` names the
+variable it replaces.
+
 Fractions of polynomials are reduced only by integer content, common
 monomial factors, and exact trial division by explicitly supplied factor
-candidates; there is no general multivariate GCD.
+candidates; there is no general multivariate GCD.  One routine,
+``FactoredRatFun._factor``, does that trial division of a denominator
+over a list of known factors, for ``FactoredRatFun`` and for
+``clear_denominators`` alike.
 """
 
 from __future__ import annotations
@@ -64,6 +73,11 @@ class VarRegistry:
 #: a process computes before its first emit.
 REGISTRY = VarRegistry()
 REGISTRY.add("t")
+
+
+def earliest(names: Iterable[str]) -> str:
+    """The variable among names that comes first in the monomial order."""
+    return min(names, key=REGISTRY.index)
 
 
 def _canon(c) -> Scalar:
@@ -336,10 +350,12 @@ class MultiPoly:
             result = result + coef * value**p
         return result
 
-    def relabel(self, moves: Mapping[int, int]) -> "MultiPoly":
-        """Substitute variable ``moves[i]`` for variable ``i``, for every key
+    def relabel(self, names: Mapping[str, str]) -> "MultiPoly":
+        """Substitute variable ``names[v]`` for variable ``v``, for every key
         at once, by moving exponent positions; no coefficient arithmetic
-        unless two monomials land on the same one."""
+        unless two monomials land on the same one.  New names are
+        registered in the map's order."""
+        moves = {REGISTRY.index(old): REGISTRY.add(new) for old, new in names.items()}
         if not moves or not self.terms:
             return self
         n = self._width()
@@ -621,9 +637,9 @@ class RatFun:
             )
         return n / d
 
-    def relabel(self, moves: Mapping[int, int]) -> "RatFun":
-        """Simultaneous variable relabel (see MultiPoly.relabel)."""
-        return RatFun(self.num.relabel(moves), self.den.relabel(moves))
+    def relabel(self, names: Mapping[str, str]) -> "RatFun":
+        """Simultaneous variable relabel by name (see MultiPoly.relabel)."""
+        return RatFun(self.num.relabel(names), self.den.relabel(names))
 
     def eval_numeric(
         self, point: Mapping[str, complex], min_den: float = 1e-6
@@ -634,28 +650,6 @@ class RatFun:
                 f"denominator magnitude {abs(dv):.3g} below {min_den:g}"
             )
         return complex(self.num.eval(point)) / dv
-
-    def eval_exact(self, point: Mapping[str, Scalar]) -> Fraction:
-        dv = self.den.eval({k: Fraction(v) for k, v in point.items()})
-        if dv == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.eval({k: Fraction(v) for k, v in point.items()}) / dv  # type: ignore[operator,return-value]
-
-    def reduce(self, candidates: Iterable[MultiPoly]) -> "RatFun":
-        """Cancel exact common factors drawn from a known candidate list."""
-        num, den = self.num, self.den
-        for c in candidates:
-            if c.is_const() or c.is_zero():
-                continue
-            while True:
-                qd = den.divexact(c)
-                if qd is None:
-                    break
-                qn = num.divexact(c)
-                if qn is None:
-                    break
-                num, den = qn, qd
-        return RatFun(num, den)
 
     def __str__(self) -> str:
         if self.is_poly():
@@ -802,33 +796,14 @@ def clear_denominators(
 ) -> tuple[MultiPoly, list[MultiPoly]]:
     """Split eq into a denominator-free equation and tracked exclusion factors.
 
-    Returns (numerator polynomial, distinct denominator factors).  The
-    factor list is produced by exact trial division against the supplied
-    candidates; whatever remains indivisible is kept as a single factor.
+    Returns the primitive numerator and a new factor list: the known
+    factors, unchanged and in their order, then the primitive rest of the
+    denominator that none of them divides, if it is not constant (the trial
+    division of ``FactoredRatFun._factor``).
     """
-    num = eq.num.primitive()
-    den = eq.den
-    factors: list[MultiPoly] = []
-
-    def note(f: MultiPoly) -> None:
-        f = f.primitive()
-        if f.is_const():
-            return
-        if not any(f == seen for seen in factors):
-            factors.append(f)
-
-    for c in known_factors:
-        if c.is_const() or c.is_zero():
-            continue
-        while True:
-            q = den.divexact(c)
-            if q is None:
-                break
-            note(c)
-            den = q
-    if not den.is_const():
-        note(den)
-    return num, factors
+    factors = list(known_factors)
+    FactoredRatFun._factor(eq.den, factors)
+    return eq.num.primitive(), factors
 
 
 def pseudo_reduce(p: MultiPoly, c: MultiPoly, var: str) -> MultiPoly:

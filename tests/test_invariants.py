@@ -1,13 +1,17 @@
 """Symbolic trace-coordinate calculus: base cases, composition, closures."""
 
+import ast
+import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from arborchar import invariants
 from arborchar.errors import DomainError, StructureError, WrongEngineError
 from arborchar.invariants import (
     InvariantEngine,
@@ -24,6 +28,8 @@ from arborchar.invariants import (
 )
 from arborchar.ratfun import MultiPoly, RatFun, pseudo_reduce
 from arborchar.tangle import CompV, IntTwist, Rational, VertTwist, expand_rational, parse
+from ratfun_helpers import reduce_by
+from test_acceptance import _random_closure
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests" / "golden"))
@@ -178,10 +184,26 @@ class TestCompose:
             f, g = fg(a, b1, c1, b2, c2)
             cancelled = [out.ucheck] + ([out.udot] if d == "v" else [])
             for x in cancelled:
-                y = x.reduce(out.exclusions)
+                y = reduce_by(x, out.exclusions)
                 assert (y.num, y.den) == (x.num, x.den)
             assert out.ucheck.equals(g)
             assert (out.udot if d == "v" else out.u).equals(f)
+
+
+def test_invariants_leaves_variable_indices_to_ratfun():
+    # ratfun alone maps variable names to exponent positions; the engine
+    # works by name through its public surface
+    source = inspect.getsource(invariants)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("ratfun", "arborchar.ratfun")
+        for alias in node.names
+    ]
+    assert "RatFun" in imported
+    assert [name for name in imported if name == "REGISTRY" or name.startswith("_")] == []
+    assert "REGISTRY" not in source
 
 
 class TestEngine:
@@ -205,7 +227,36 @@ class TestEngine:
         assert d.vars == ("r1", "r2")
 
 
+def _sign_repeats(polys) -> list[tuple[int, int]]:
+    """Index pairs (i, j), j < i, with polys[i] equal to +-polys[j]."""
+    return [(i, j) for i, p in enumerate(polys) for j, q in enumerate(polys[:i])
+            if p == q or p == -q]
+
+
 class TestClosure:
+    # every ladder knot but link-3333, which links.py emits
+    @pytest.mark.parametrize("name", [n for n in golden.KNOTS if n != "link-3333"])
+    def test_ladder_exclusions_distinct_up_to_sign(self, name):
+        pres = closure_equations(parse(golden.KNOTS[name][0]))
+        assert _sign_repeats(pres.exclusions) == []
+
+    def test_random_closure_exclusions_distinct_up_to_sign(self):
+        # criterion 06's generator; p != 0 and -p != 0 are one exclusion
+        rng = random.Random(1)
+        emitted = 0
+        while emitted < 150:
+            c = _random_closure(rng)
+            if c is None:
+                continue
+            try:
+                pres = closure_equations(c)
+            except ZeroDivisionError:
+                # a few closures stop on an identically zero denominator
+                # while the engine substitutes; they emit nothing to check
+                continue
+            assert _sign_repeats(pres.exclusions) == [], c
+            emitted += 1
+
     def test_knot_gate(self):
         with pytest.raises(WrongEngineError):
             closure_equations(parse("D([1/2])"))  # two components

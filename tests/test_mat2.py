@@ -28,9 +28,10 @@ def _rnd(rng):
 class TestMat2:
     def test_exact_arithmetic(self):
         a = Mat2(Fraction(2), Fraction(1), Fraction(3), Fraction(2))
-        assert a.det() == 1 and a.is_exact()
+        assert a.det() == 1
+        assert all(isinstance(x, (int, Fraction)) for x in a.entries())
         b = a.inv()
-        assert b.is_exact()
+        assert all(isinstance(x, (int, Fraction)) for x in b.entries())
         assert (a @ b) == IDENTITY
         assert a.trace() == 4
 
