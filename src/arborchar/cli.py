@@ -124,6 +124,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
             pres = closure_equations(closure)
     except UnsupportedShapeError as exc:
         _fail(EXIT_UNSUPPORTED, str(exc))
+    except ZeroDivisionError as exc:
+        # a gluing degenerate at every point (a pinned shared coordinate)
+        _fail(EXIT_UNSUPPORTED, f"the generic gluing does not cover this input: {exc}")
     if args.format == "json":
         payload = pres.to_json()
         payload["provenance"] = _provenance(expr=text)

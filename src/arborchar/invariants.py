@@ -450,14 +450,17 @@ def closure_equations(c: ClosureExpr, engine: InvariantEngine | None = None) -> 
         num, exclusions = clear_denominators(val, exclusions)
         equations.append(num)
         notes.append(note)
+    # an identically zero equation holds everywhere: dropping it keeps the
+    # zero set
+    kept = [(p, note) for p, note in zip(equations, notes) if not p.is_zero()]
 
     atoms = eng.atom_vars[first_atom:]
     surviving = J1.vars + J2.vars
     moves = _region_names(surviving)
     return Presentation(
         ("t",) + tuple(moves.values()),
-        tuple(p.relabel(moves) for p in equations),
+        tuple(p.relabel(moves) for p, _ in kept),
         tuple(p.relabel(moves) for p in exclusions if not p.is_const()),
-        tuple(notes),
+        tuple(note for _, note in kept),
         regions=tuple(atoms.index(v) for v in surviving),
     )

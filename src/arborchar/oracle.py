@@ -9,6 +9,9 @@ Two independent pillars:
 
 Each suite draws per-sample RNG streams keyed by (suite, seed, index), so
 runs are reproducible and order-independent.
+
+numpy is imported inside the functions that call it, not at module level:
+the CLI imports this module, and `emit` must not pay for loading numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import cmath
 import functools
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConditioningError, DomainError
 from .invariants import Presentation, base_invariants, closure_equations
@@ -233,6 +234,8 @@ def twist_rep(atom: TangleExpr, x: Mat2, y: Mat2, t: complex) -> TangleRep:
 def _solve_conjugator(pairs: list[tuple[Mat2, Mat2]]) -> Mat2:
     """c with c@x@c^{-1} = target for every (x, target), via the least
     singular vector of the linearized system."""
+    import numpy as np
+
     rows = []
     for x, tg in pairs:
         x11, x12, x21, x22 = (complex(v) for v in x.entries())
@@ -288,6 +291,8 @@ def _alpha_num(k: int, t: complex, r: complex) -> complex:
 def _alpha_coeffs(k: int, t: complex) -> tuple[complex, ...]:
     """Coefficients of the degree-|k| polynomial alpha_k(r), highest first,
     by interpolation."""
+    import numpy as np
+
     deg = abs(k)
     nodes = [1.37 * cmath.exp(2j * cmath.pi * j / (deg + 1)) + 0.11 for j in range(deg + 1)]
     vals = [_alpha_num(k, t, z) for z in nodes]
@@ -296,6 +301,8 @@ def _alpha_coeffs(k: int, t: complex) -> tuple[complex, ...]:
 
 def _alpha_preimages(k: int, t: complex, v: complex) -> list[complex]:
     """All r with alpha_k(r) = v, by a companion-matrix root solve."""
+    import numpy as np
+
     coeffs = np.array(_alpha_coeffs(k, t))
     coeffs[-1] -= v
     return [complex(z) for z in np.roots(coeffs)]
@@ -751,6 +758,8 @@ _PRESENTATION_CORPUS = (
 def _closure_rep(c: ClosureExpr, rng: random.Random):
     """Newton search (over t and the shared coordinate) for a representation
     of the closed-up diagram, using the trace form of the closure condition."""
+    import numpy as np
+
     body = c.body
     if isinstance(body, Rational):
         body = expand_rational(body.ks)
@@ -819,6 +828,8 @@ def _pretzel_pres():
 
 
 def _suite_pretzel(rng: random.Random, tol: float) -> float:
+    import numpy as np
+
     t1 = sample_t(rng)
     t2 = sample_t(rng)
 

@@ -5,14 +5,15 @@ s_ij = tr(abar_i abar_j) of trace-normalized matrices abar = a - (t/2)e,
 construction of a third matrix with two prescribed pair traces,
 completion of a fourth matrix from a vanishing 4x4 Gram determinant, and
 the t13-parameterized family whose members are pairwise non-conjugate.
+
+numpy is imported inside the functions that call it, not at module level:
+the CLI imports this module, and `emit` must not pay for loading numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     ConditioningError,
@@ -46,14 +47,18 @@ class GramData:
     matrices: tuple[Mat2, ...]
     traces: tuple[complex, ...]
     barred: tuple[Mat2, ...]
-    S: np.ndarray  # symmetric matrix of pair traces
+    S: "numpy.ndarray"  # symmetric matrix of pair traces
 
     def det(self) -> complex:
+        import numpy as np
+
         return complex(np.linalg.det(self.S))
 
 
 def gram(matrices: list[Mat2], traces: list[complex], tol: float = TOL) -> GramData:
     """Pairing data s_ij = tr(abar_i abar_j); s_ii = t_i^2/2 - 2."""
+    import numpy as np
+
     if len(matrices) != len(traces):
         raise DomainError("one trace per matrix required")
     for a, t in zip(matrices, traces):
@@ -161,6 +166,8 @@ def complete_fourth(
 ) -> Mat2:
     """a4 = c1 abar_1 + c2 abar_2 + c3 abar_3 + (t4/2) e with prescribed
     pairings; requires the extended 4x4 Gram determinant to vanish."""
+    import numpy as np
+
     if len(g.matrices) != 3:
         raise DomainError("complete_fourth needs exactly three matrices")
     detS = g.det()
@@ -194,6 +201,7 @@ def solve_s24(
     The determinant is quadratic in s24; its coefficients are recovered by
     interpolation at s24 in {0, 1, -1}.
     """
+    import numpy as np
 
     def det_at(x: complex) -> complex:
         S4 = np.empty((4, 4), dtype=complex)
@@ -287,7 +295,7 @@ def witness_family(
                 (a1.to_complex(), a2.to_complex(), a3, a4),
                 s24,
                 g.det(),
-                complex(np.linalg.det(g4.S)),
+                g4.det(),
             )
         )
     return out

@@ -1,9 +1,17 @@
 """Command-line interface: exit codes, output formats, environment overrides."""
 
+import ast
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arborchar
+from arborchar import oracle, witness
 from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, TOL_ENV, main
 from arborchar.tangle import MAX_DEPTH
 
@@ -58,6 +66,58 @@ class TestEmit:
 
     def test_supported_link_shape(self, capsys):
         assert _run(["emit", "--link", "D([3] *v [3] *v [3] *v [3])"]) == EXIT_OK
+
+    def test_degenerate_gluing_is_unsupported(self, capsys):
+        # the closure's gluing pins the shared coordinate, so the generic
+        # substitution has an identically zero denominator
+        assert _run(["emit", "N(([-1] *v [1/1]) *h ([1] *h [-2]))"]) == EXIT_UNSUPPORTED
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def _module_level_imports(module) -> list[str]:
+    """Modules a module imports when it is loaded (function bodies skipped)."""
+    pending = list(ast.parse(inspect.getsource(module)).body)
+    names = []
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+class TestEmitWithoutNumpy:
+    """emit is exact arithmetic: loading the CLI and emitting never load
+    numpy, which only the oracle and witness functions use."""
+
+    @pytest.mark.parametrize("module", [oracle, witness], ids=["oracle", "witness"])
+    def test_no_module_level_numpy_import(self, module):
+        imported = _module_level_imports(module)
+        assert "cmath" in imported
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+    def test_fresh_emit_leaves_numpy_unloaded(self, tmp_path):
+        script = f"""
+import sys
+from arborchar import cli
+for argv in (["D([1/1] *v [1/2])"], ["--link", "D([3] *v [3] *v [3] *v [3])"]):
+    code = cli.main(["emit", "--format", "json", "--out", {str(tmp_path / "out.json")!r}, *argv])
+    assert code == cli.EXIT_OK, code
+print("numpy" in sys.modules)
+"""
+        env = dict(os.environ)
+        src = str(Path(arborchar.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestComponents:

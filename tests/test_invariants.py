@@ -279,6 +279,13 @@ class TestClosure:
         diff = (t * t - r1) - (2 + (r1 - 2) * (r1 + 2 - t * t))
         assert pres.equations[0] == diff.num.primitive() or pres.equations[0] == (-diff).num.primitive()
 
+    def test_zero_equations_are_dropped(self):
+        # this closure's u-checks cancel identically; 0 = 0 holds everywhere,
+        # so it is dropped together with its note
+        pres = closure_equations(parse("D(([1/-2] *v [1/-2]) *v ([-2] *h [2]))"))
+        assert pres.notes == ("closure: u-dot coordinates match",)
+        assert [str(eq) for eq in pres.equations] == ["r1 - 2"]
+
     @pytest.mark.parametrize(
         "expr, regions",
         [
