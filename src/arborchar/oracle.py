@@ -19,10 +19,11 @@ from __future__ import annotations
 import cmath
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConditioningError, DomainError
-from .invariants import Presentation, base_invariants, closure_equations
+from .invariants import InvariantData, Presentation, base_invariants, closure_equations
 from .mat2 import (
     IDENTITY,
     Mat2,
@@ -469,6 +470,84 @@ def _nonzero(rng: random.Random) -> complex:
             return z
 
 
+def _cubic_roots(a: complex, b: complex, c: complex) -> list[complex]:
+    """Roots of the monic cubic x^3 + a x^2 + b x + c.
+
+    Cardano's formula on the depressed cubic y^3 + p y + q, x = y - a/3,
+    taking the square-root branch that avoids cancellation in -q/2 +- s;
+    each root is then polished by one Newton step on the original cubic.
+    """
+    p = b - a * a / 3
+    q = (2 * a * a - 9 * b) * a / 27 + c
+    s = cmath.sqrt(q * q / 4 + p * p * p / 27)
+    w = max(-q / 2 + s, -q / 2 - s, key=abs)
+    u = w ** (1 / 3)
+    if u:
+        omega = complex(-0.5, 3**0.5 / 2)
+        ys = [u * z - p / (3 * u * z) for z in (1, omega, omega.conjugate())]
+    else:  # p = q = 0: a triple root
+        ys = [0j, 0j, 0j]
+    roots = []
+    for y in ys:
+        x = y - a / 3
+        d = (3 * x + 2 * a) * x + b
+        if d:
+            x -= (((x + a) * x + b) * x + c) / d
+        roots.append(x)
+    return roots
+
+
+class _NumericPoly:
+    """A polynomial compiled once for numeric evaluation.
+
+    Row j of ``exps`` holds every term's exponent of the variable
+    ``names[j]``; ``coeffs`` holds the coefficients as complex numbers and
+    ``scale`` the largest coefficient modulus, at least 1.  Calling it at a
+    point (a map from variable name to value) gives the polynomial's value
+    there.
+
+    At points of the pretzel link's variety the terms of its large
+    equation are up to about 10^6 times its coefficient scale and cancel,
+    so rounding sets the residual.  Powers are built by repeated
+    multiplication and the terms summed pairwise, which keeps it at the
+    level of MultiPoly.eval; ``complex ** array`` powers or a BLAS dot
+    product raise it several-fold.
+    """
+
+    def __init__(self, poly) -> None:
+        import numpy as np
+
+        # two passes over the terms, so that no per-term copy is kept
+        cols: dict[str, int] = {}
+        count = 0
+        for powers, _ in poly.named_terms():
+            count += 1
+            for name in powers:
+                cols.setdefault(name, len(cols))
+        self.names = tuple(cols)
+        # 16-bit exponents keep the pretzel equation's matrix at 63 kB
+        self.exps = np.zeros((len(cols), count), dtype=np.uint16)
+        self.coeffs = np.zeros(count, dtype=complex)
+        self.scale = 1.0
+        for i, (powers, coef) in enumerate(poly.named_terms()):
+            for name, p in powers.items():
+                self.exps[cols[name], i] = p
+            self.coeffs[i] = c = complex(coef)
+            self.scale = max(self.scale, abs(c))
+
+    def __call__(self, point) -> complex:
+        import numpy as np
+
+        monomials = np.ones(len(self.coeffs), dtype=complex)
+        for name, exps in zip(self.names, self.exps):
+            v = complex(point[name])
+            powers = [1 + 0j]
+            for _ in range(exps.max()):
+                powers.append(powers[-1] * v)
+            monomials *= np.array(powers)[exps]
+        return complex((self.coeffs * monomials).sum())
+
+
 def _f_num(t, a, b1, c1, b2, c2):
     return ((a + 2) * b1 * b2 + 2 * t * t * (2 - b1 - b2) + c1 * c2 / (a - 2)) / (
         2 * (a + 2 - t * t)
@@ -667,6 +746,11 @@ def _suite_reducible(rng: random.Random, tol: float) -> float:
     return 0.0 if flag == eig else 1.0
 
 
+@functools.lru_cache(maxsize=16)  # the base suite's twist atoms
+def _base_data(atom: TangleExpr) -> InvariantData:
+    return base_invariants(atom, var_name="r")
+
+
 def _suite_base(rng: random.Random, tol: float) -> float:
     t = sample_t(rng)
     res = 0.0
@@ -675,7 +759,7 @@ def _suite_base(rng: random.Random, tol: float) -> float:
             r = _generic_param(rng, t)
             x, y = conditioned_pair(t, r, rng)
             rep = twist_rep(atom, x, y, t)
-            data = base_invariants(atom, var_name="r")
+            data = _base_data(atom)
             pt = {"t": t, "r": r}
             exp_u = complex(data.u.eval_numeric(pt))
             exp_ud = complex(data.udot.eval_numeric(pt))
@@ -798,45 +882,40 @@ def _closure_rep(c: ClosureExpr, rng: random.Random):
 
 
 @functools.lru_cache(maxsize=len(_PRESENTATION_CORPUS))
-def _corpus_presentation(text: str) -> Presentation:
-    return closure_equations(parse(text))
+def _corpus_presentation(text: str) -> tuple[Presentation, tuple[_NumericPoly, ...]]:
+    """The presentation of a corpus knot and its compiled equations."""
+    pres = closure_equations(parse(text))
+    return pres, tuple(map(_NumericPoly, pres.equations))
 
 
 def _suite_presentation(rng: random.Random, tol: float) -> float:
     text = _PRESENTATION_CORPUS[rng.randrange(len(_PRESENTATION_CORPUS))]
     c = parse(text)
-    pres = _corpus_presentation(text)
+    pres, equations = _corpus_presentation(text)
     rep, t = _closure_rep(c, rng)
     point = {"t": t}
     for name, pos in zip(pres.variables[1:], pres.regions):
         point[name] = rep.region_traces[pos]
     res = 0.0
-    for eq in pres.equations:
-        val = complex(eq.eval(point))
-        scale = max(1.0, *(abs(complex(coef)) for coef in eq.terms.values()))
-        res = max(res, abs(val) / scale)
+    for eq in equations:
+        res = max(res, abs(eq(point)) / eq.scale)
     res = max(res, _rel(rep.boundary_residual(), 1.0))
     res = max(res, _rel(abs(_tr2(rep.x_nw, rep.x_sw) - rep.udot()), 1.0))
     return res
 
 
 @functools.lru_cache(maxsize=1)
-def _pretzel_pres():
+def _pretzel_pres() -> tuple[tuple[_NumericPoly, ...], tuple[_NumericPoly, ...]]:
+    """The compiled equations and exclusions of the pretzel (3,3,3,3) link."""
     from .links import pretzel3333_presentation
 
-    return pretzel3333_presentation()
+    pres = pretzel3333_presentation()
+    return tuple(map(_NumericPoly, pres.equations)), tuple(map(_NumericPoly, pres.exclusions))
 
 
 def _suite_pretzel(rng: random.Random, tol: float) -> float:
-    import numpy as np
-
     t1 = sample_t(rng)
     t2 = sample_t(rng)
-
-    def cubic_roots(tau: complex) -> np.ndarray:
-        return np.roots(
-            [1, -t1 * t2, t1 * t1 + t2 * t2 - 3, -t1 * t2 + tau]
-        )
 
     picks = [rng.randrange(3) for _ in range(4)]
 
@@ -844,8 +923,9 @@ def _suite_pretzel(rng: random.Random, tol: float) -> float:
         if min(abs(lam - 1), abs(lam + 1), abs(lam)) < 0.04:
             raise ConditioningError("lam drifted to a degenerate value")
         tau = lam + 1 / lam
-        roots = sorted(cubic_roots(tau), key=lambda z: (z.real, z.imag))
-        rs = [complex(roots[p]) for p in picks]
+        roots = _cubic_roots(-t1 * t2, t1 * t1 + t2 * t2 - 3, -t1 * t2 + tau)
+        roots.sort(key=lambda z: (z.real, z.imag))
+        rs = [roots[p] for p in picks]
         dl = delta_two_trace(t1, t2, lam)
         nums = [
             (lam - 1 / lam) * (r * r + (1 / lam - t1 * t2) * r - 2)
@@ -897,18 +977,15 @@ def _suite_pretzel(rng: random.Random, tol: float) -> float:
         two_form = 2 * rs[i] ** 2 + (tau - 2 * t1 * t2) * rs[i] + t1 * t1 + t2 * t2 - 4
         res = max(res, _rel(abs(uc_meas - two_form), abs(two_form)))
 
-    pres = _pretzel_pres()
+    equations, exclusions = _pretzel_pres()
     point = {
         "t1": t1, "t2": t2, "tau": tau, "lam": lam,
         "r1": rs[0], "r2": rs[1], "r3": rs[2], "r4": rs[3],
     }
-    for eq in pres.equations:
-        val = complex(eq.eval(point))
-        scale = max(1.0, *(abs(complex(cf)) for cf in eq.terms.values()))
-        scale = max(scale, abs(dl) ** 4)
-        res = max(res, abs(val) / scale)
-    for ex in pres.exclusions:
-        if abs(complex(ex.eval(point))) < 1e-8:
+    for eq in equations:
+        res = max(res, abs(eq(point)) / max(eq.scale, abs(dl) ** 4))
+    for ex in exclusions:
+        if abs(ex(point)) < 1e-8:
             res = max(res, 1.0)
     return res
 
@@ -946,6 +1023,7 @@ class SuiteReport:
     max_residual: float = 0.0
     failures: list = field(default_factory=list)
     rejected: int = 0
+    rejected_by_reason: Counter[str] = field(default_factory=Counter)
 
     @property
     def passed(self) -> bool:
@@ -959,6 +1037,7 @@ class SuiteReport:
             "tol": self.tol,
             "max_residual": self.max_residual,
             "rejected": self.rejected,
+            "rejected_by_reason": dict(self.rejected_by_reason),
             "passed": self.passed,
             "failures": self.failures,
         }
@@ -983,13 +1062,13 @@ def run_suite(
         residual = None
         for attempt in range(12):
             rng = random.Random(f"{name}:{seed}:{i}:{attempt}")
-            if attempt:
-                report.rejected += 1
             try:
                 residual = fn(rng, tol)
                 break
-            except ConditioningError:
-                continue
+            except ConditioningError as exc:
+                if attempt < 11:  # another attempt follows: a rejection
+                    report.rejected += 1
+                    report.rejected_by_reason[str(exc)] += 1
         if residual is None:
             report.failures.append({"sample": i, "error": "kept degenerating"})
             continue

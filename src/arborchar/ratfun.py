@@ -12,8 +12,8 @@ earlier-registered variables taking priority.
 This module is the only one that maps variable names to exponent
 positions.  Other modules work by name: ``relabel`` takes a
 ``{old_name: new_name}`` map, ``earliest`` says which of some variables
-comes first in the monomial order, and ``RatFun.substitute`` names the
-variable it replaces.
+comes first in the monomial order, ``RatFun.substitute`` names the
+variable it replaces, and ``MultiPoly.named_terms`` lists terms by name.
 
 Fractions of polynomials are reduced only by integer content, common
 monomial factors, and exact trial division by explicitly supplied factor
@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ConditioningError, DomainError
 
@@ -400,6 +400,11 @@ class MultiPoly:
                     term = term * values[i] ** p
             total = total + term
         return total
+
+    def named_terms(self) -> Iterator[tuple[dict[str, int], Scalar]]:
+        """Each term as ({variable name: power}, coefficient)."""
+        for e, c in self.terms.items():
+            yield {REGISTRY.name(i): p for i, p in enumerate(e) if p}, c
 
     # -- normalization helpers ----------------------------------------------
 

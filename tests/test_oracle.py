@@ -2,20 +2,27 @@
 
 import ast
 import inspect
+import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 import arborchar.oracle as oracle
 from arborchar.errors import ConditioningError, DomainError
-from arborchar.invariants import base_invariants
+from arborchar.invariants import base_invariants, closure_equations
+from arborchar.links import pretzel3333_presentation
 from arborchar.mat2 import Mat2, special
 from arborchar.oracle import (
     SUITE_NAMES,
+    _PRESENTATION_CORPUS,
     _SECANT_PATIENCE,
+    _NumericPoly,
     _closure_rep,
     _crand,
+    _cubic_roots,
+    _sample_lam,
     _secant,
     build_tangle_rep,
     conditioned_pair,
@@ -27,6 +34,7 @@ from arborchar.oracle import (
     sample_t,
     twist_rep,
 )
+from arborchar.ratfun import MultiPoly
 from arborchar.tangle import IntTwist, VertTwist, parse
 
 
@@ -171,12 +179,150 @@ class TestSuites:
         rep = run_suite(name, samples=samples, seed=1, tol=tol)
         assert rep.passed, rep.failures
         assert rep.max_residual <= tol
+        assert type(rep.max_residual) is float  # not a numpy scalar
 
     def test_report_json(self):
         rep = run_suite("identities", samples=2, seed=0)
         blob = rep.to_json()
         assert blob["suite"] == "identities" and blob["passed"] is True
-        assert set(blob) >= {"samples", "seed", "tol", "max_residual", "rejected"}
+        assert set(blob) >= {
+            "samples", "seed", "tol", "max_residual", "rejected", "rejected_by_reason"
+        }
+
+    def test_rejections_counted_by_reason(self, monkeypatch):
+        # sample 0 is rejected twice, then passes; sample 1 never passes,
+        # so its last error ends the sample instead of being a rejection
+        def suite(rng, tol):
+            attempt = suite.attempts = suite.attempts + 1
+            if attempt <= 2:
+                raise ConditioningError("first" if attempt == 1 else "second")
+            if attempt == 3:
+                return 0.0
+            raise ConditioningError("second")
+
+        suite.attempts = 0
+        monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        rep = run_suite("fake", samples=2)
+        assert rep.rejected == 2 + 11
+        assert rep.rejected_by_reason == {"first": 1, "second": 12}
+        assert rep.failures == [{"sample": 1, "error": "kept degenerating"}]
+        assert rep.to_json()["rejected_by_reason"] == {"first": 1, "second": 12}
+
+    def test_base_builds_each_twist_triple_once(self, monkeypatch):
+        calls = []
+        real = oracle.base_invariants
+
+        def counting(atom, var_name):
+            calls.append(atom)
+            return real(atom, var_name)
+
+        monkeypatch.setattr(oracle, "base_invariants", counting)
+        oracle._base_data.cache_clear()
+        try:
+            rep = run_suite("base", seed=0)
+        finally:
+            oracle._base_data.cache_clear()
+        assert rep.passed, rep.failures
+        assert len(calls) == len(set(calls)) <= 16
+
+    def test_pretzel_rejections_pinned(self):
+        # every rejection comes from the closed-form cubic and the secant,
+        # with no LAPACK call on the way, so the count does not depend on
+        # the platform
+        rep = run_suite("pretzel", seed=0)
+        assert rep.passed, rep.failures
+        assert rep.rejected == 72
+        assert rep.rejected_by_reason == {"no pretzel variety point found": 72}
+
+
+def _cubic_value(x, a, b, c):
+    return ((x + a) * x + b) * x + c
+
+
+def _same_multiset(xs, ys, tol):
+    return min(
+        max(abs(x - y) for x, y in zip(xs, perm)) for perm in itertools.permutations(ys)
+    ) < tol
+
+
+class TestCubicRoots:
+    def _check(self, a, b, c):
+        roots = _cubic_roots(a, b, c)
+        assert all(type(x) is complex for x in roots)
+        ref = [complex(z) for z in np.roots([1, a, b, c])]
+        assert _same_multiset(roots, ref, 1e-9), (roots, ref)
+        bound = 1e-10 * max(1.0, abs(a), abs(b), abs(c))
+        assert max(abs(_cubic_value(x, a, b, c)) for x in roots) < bound
+        # each root solves the cubic to rounding at the size of its terms
+        for x in roots:
+            terms = abs(x) ** 3 + abs(a * x * x) + abs(b * x) + abs(c)
+            assert abs(_cubic_value(x, a, b, c)) <= 1e-14 * terms, x
+
+    def test_random_cubics_match_numpy(self):
+        rng = random.Random(5)
+        for _ in range(1000):
+            a, b, c = (_crand(rng, 4.0) for _ in range(3))
+            self._check(a, b, c)
+
+    def test_pretzel_family(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            t1, t2 = sample_t(rng), sample_t(rng)
+            lam = _sample_lam(rng, t1)
+            tau = lam + 1 / lam
+            self._check(-t1 * t2, t1 * t1 + t2 * t2 - 3, -t1 * t2 + tau)
+
+    def test_near_double_root(self):
+        r1, r2, r3 = 1 + 0.5j, 1 + 0.5j + 1e-5, -2 + 0j
+        a = -(r1 + r2 + r3)
+        b = r1 * r2 + r1 * r3 + r2 * r3
+        c = -r1 * r2 * r3
+        self._check(a, b, c)
+        assert _same_multiset(_cubic_roots(a, b, c), [r1, r2, r3], 1e-9)
+
+    @pytest.mark.parametrize("b, c", [(1e-7, 1.0), (-3e-8, 2j), (1e4, 1e-3)])
+    def test_cancellation(self, b, c):
+        # a tiny p makes one square-root branch cancel to nothing; a large
+        # one makes Cardano's small root cancel, which the Newton step repairs
+        self._check(0j, complex(b), complex(c))
+
+    def test_triple_root(self):
+        assert _cubic_roots(0j, 0j, 0j) == [0j, 0j, 0j]
+        self._check(0j, 0j, 0j)
+
+
+class TestNumericPoly:
+    @pytest.mark.parametrize("text", ("pretzel (3,3,3,3) link",) + _PRESENTATION_CORPUS)
+    def test_matches_exact_evaluation(self, text):
+        if text in _PRESENTATION_CORPUS:
+            pres = closure_equations(parse(text))
+        else:
+            pres = pretzel3333_presentation()
+        rng = random.Random(text)
+        for poly in pres.equations + pres.exclusions:
+            compiled = _NumericPoly(poly)
+            for _ in range(3):
+                point = {name: _crand(rng) for name in compiled.names}
+                got = compiled(point)
+                want = complex(poly.eval(point))
+                assert type(got) is complex
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), str(poly)[:60]
+
+    def test_constant_polynomial(self):
+        assert _NumericPoly(MultiPoly.const(-3))({}) == -3
+        assert _NumericPoly(MultiPoly.const(-3)).scale == 3.0
+        assert _NumericPoly(MultiPoly.zero())({}) == 0
+
+    def test_oracle_reads_no_term_dict(self):
+        # the oracle compiles polynomials by variable name, through
+        # MultiPoly.named_terms, and never sees exponent positions
+        tree = ast.parse(inspect.getsource(oracle))
+        reads = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "terms"
+        ]
+        assert reads == []
 
 
 class TestClosureSearch:
