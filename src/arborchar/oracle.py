@@ -569,7 +569,7 @@ def _rel(err: float, scale: float) -> float:
     return err / max(1.0, scale)
 
 
-def _suite_identities(rng: random.Random, tol: float) -> float:
+def _suite_identities(rng: random.Random) -> float:
     t = sample_t(rng)
     lam = _sample_lam(rng, t)
     mu, nu = _nonzero(rng), _nonzero(rng)
@@ -593,7 +593,7 @@ def _suite_identities(rng: random.Random, tol: float) -> float:
     return max(_rel(e, scale) for e in res)
 
 
-def _suite_tr_h(rng: random.Random, tol: float) -> float:
+def _suite_tr_h(rng: random.Random) -> float:
     t = sample_t(rng)
     lam = _sample_lam(rng, t)
     mu, nu = _nonzero(rng), _nonzero(rng)
@@ -634,7 +634,7 @@ def _suite_tr_h(rng: random.Random, tol: float) -> float:
     return _rel(res, 10.0)
 
 
-def _suite_power(rng: random.Random, tol: float) -> float:
+def _suite_power(rng: random.Random) -> float:
     r = sample_t(rng)
     z = sample_in_Gt(r, rng)
     res = 0.0
@@ -658,7 +658,7 @@ def _pair_error(a1: Mat2, a2: Mat2, rep) -> float:
     return max((r1 - a1).norm(), (r2 - a2).norm())
 
 
-def _suite_key(rng: random.Random, tol: float) -> float:
+def _suite_key(rng: random.Random) -> float:
     t = sample_t(rng)
     res = 0.0
     # (a) product d(lam)
@@ -669,12 +669,12 @@ def _suite_key(rng: random.Random, tol: float) -> float:
     kap = _kappa(t)
     xi = _crand(rng)
     b1, b2 = special("u_plus", 1 / kap, xi), special("u_plus", kap, kap - xi)
-    assert (b1 @ b2 - special("p")).norm() < 1e-9
+    res = max(res, (b1 @ b2 - special("p")).norm())
     res = max(res, _pair_error(b1, b2, decompose_pair(b1, b2, t, t)))
     # (c) product -p
     al = _crand(rng)
     c1, c2 = special("k1", t, al), special("k1", t, al - t)
-    assert (c1 @ c2 + special("p")).norm() < 1e-8
+    res = max(res, (c1 @ c2 + special("p")).norm())
     res = max(res, _pair_error(c1, c2, decompose_pair(c1, c2, t, t)))
     return _rel(res, 10.0)
 
@@ -683,7 +683,7 @@ def _kappa(t: complex) -> complex:
     return (t + cmath.sqrt(t * t - 4)) / 2
 
 
-def _suite_key2(rng: random.Random, tol: float) -> float:
+def _suite_key2(rng: random.Random) -> float:
     t1 = sample_t(rng)
     t2 = sample_t(rng)
     if abs(t1 - t2) < 0.2 or abs(t1 + t2) < 0.2:
@@ -712,7 +712,7 @@ def _suite_key2(rng: random.Random, tol: float) -> float:
     xi = _crand(rng)
     c2 = special("u_plus", kap2**eps, xi + kap2**eps)
     c1 = special("u_plus", -(kap2 ** (-eps)), xi)
-    assert (c1 @ c2 + special("p")).norm() < 1e-8
+    res = max(res, (c1 @ c2 + special("p")).norm())
     res = max(res, _pair_error(c1, c2, decompose_pair(c1, c2, -t2, t2)))
     # (d) product -p with t1 + t2 != 0
     d1, d2 = sample_with_product(-special("p"), t1, t2, rng)
@@ -720,12 +720,11 @@ def _suite_key2(rng: random.Random, tol: float) -> float:
     # +p through the sign trick
     f1, f2 = sample_with_product(special("p"), t1, t2, rng)
     rep = decompose_pair(f1, f2, t1, t2)
-    assert rep.sign_flipped
-    res = max(res, _pair_error(f1, f2, rep))
+    res = max(res, 0.0 if rep.sign_flipped else 1.0, _pair_error(f1, f2, rep))
     return _rel(res, 10.0)
 
 
-def _suite_reducible(rng: random.Random, tol: float) -> float:
+def _suite_reducible(rng: random.Random) -> float:
     t1 = sample_t(rng)
     t2 = sample_t(rng) if rng.random() < 0.5 else t1
     mode = rng.randrange(3)
@@ -751,7 +750,7 @@ def _base_data(atom: TangleExpr) -> InvariantData:
     return base_invariants(atom, var_name="r")
 
 
-def _suite_base(rng: random.Random, tol: float) -> float:
+def _suite_base(rng: random.Random) -> float:
     t = sample_t(rng)
     res = 0.0
     for k in (1, -1, 2, -2, 3, -3, 4, -4):
@@ -777,7 +776,7 @@ def _suite_base(rng: random.Random, tol: float) -> float:
     return res
 
 
-def _suite_compose(rng: random.Random, tol: float) -> float:
+def _suite_compose(rng: random.Random) -> float:
     t = sample_t(rng)
     lam = _sample_lam(rng, t)
     mu1, nu1, mu2 = _nonzero(rng), _nonzero(rng), _nonzero(rng)
@@ -785,7 +784,7 @@ def _suite_compose(rng: random.Random, tol: float) -> float:
     # *v: factors share g = d(lam); the matched frame needs nu2 = mu1
     q1 = h_quadruple(t, lam, mu1, nu1)
     q2 = h_quadruple(t, lam, mu2, mu1)
-    assert (q2.x_nw - q1.x_sw.inv()).norm() < 1e-9
+    res = max(res, (q2.x_nw - q1.x_sw.inv()).norm())
     comp = TangleRep(q1.x_nw, q1.x_ne, q2.x_sw, q2.x_se, t)
     a = q1.u()
     fd = _f_num(t, a, q1.udot(), q1.ucheck(), q2.udot(), q2.ucheck())
@@ -795,7 +794,7 @@ def _suite_compose(rng: random.Random, tol: float) -> float:
     # *h: factors share g-dot = d(lam)
     p1 = dot_quadruple(t, lam, mu1, nu1)
     p2 = dot_quadruple(t, lam, mu2, mu1)
-    assert (p2.x_nw - p1.x_ne.inv()).norm() < 1e-9
+    res = max(res, (p2.x_nw - p1.x_ne.inv()).norm())
     comph = TangleRep(p1.x_nw, p2.x_ne, p1.x_sw, p2.x_se, t)
     ad = p1.udot()
     fh = _f_num(t, ad, p1.u(), p1.ucheck(), p2.u(), p2.ucheck())
@@ -805,7 +804,7 @@ def _suite_compose(rng: random.Random, tol: float) -> float:
     return res
 
 
-def _suite_convenient(rng: random.Random, tol: float) -> float:
+def _suite_convenient(rng: random.Random) -> float:
     t = sample_t(rng)
     lam = _sample_lam(rng, t)
     mu1, nu1 = _nonzero(rng), _nonzero(rng)
@@ -888,7 +887,7 @@ def _corpus_presentation(text: str) -> tuple[Presentation, tuple[_NumericPoly, .
     return pres, tuple(map(_NumericPoly, pres.equations))
 
 
-def _suite_presentation(rng: random.Random, tol: float) -> float:
+def _suite_presentation(rng: random.Random) -> float:
     text = _PRESENTATION_CORPUS[rng.randrange(len(_PRESENTATION_CORPUS))]
     c = parse(text)
     pres, equations = _corpus_presentation(text)
@@ -913,7 +912,7 @@ def _pretzel_pres() -> tuple[tuple[_NumericPoly, ...], tuple[_NumericPoly, ...]]
     return tuple(map(_NumericPoly, pres.equations)), tuple(map(_NumericPoly, pres.exclusions))
 
 
-def _suite_pretzel(rng: random.Random, tol: float) -> float:
+def _suite_pretzel(rng: random.Random) -> float:
     t1 = sample_t(rng)
     t2 = sample_t(rng)
 
@@ -1063,7 +1062,7 @@ def run_suite(
         for attempt in range(12):
             rng = random.Random(f"{name}:{seed}:{i}:{attempt}")
             try:
-                residual = fn(rng, tol)
+                residual = fn(rng)
                 break
             except ConditioningError as exc:
                 if attempt < 11:  # another attempt follows: a rejection

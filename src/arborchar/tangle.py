@@ -1,5 +1,5 @@
 """Tangle expressions: grammar, parser, printer, continued fractions,
-rational-tangle expansion, and strand connectivity.
+rational-tangle expansion, and component counts by tangle parity.
 
 Grammar (whitespace insensitive)::
 
@@ -8,12 +8,14 @@ Grammar (whitespace insensitive)::
     atom   := "[" int "]" | "[1/" int "]"
             | "[[" int ("],[" int)* "]]" | "(" tangle ")"
 
-Ends of a tangle are labeled nw, ne, sw, se, and a tangle induces a perfect
-matching on them.  The single crossing pairs nw-se and ne-sw; compositions
-glue matchings by path-following (vertical: bottom of the left factor to
+Ends of a tangle are labeled nw, ne, sw, se, and its strands join them in
+pairs.  The pairing is the tangle's parity in {0, 1, INF} (nw joined to ne,
+se or sw), and a composition's parity follows from its factors' by a
+three-value rule (Conway 1970; Kauffman and Lambropoulou 2004), counting
+the closed loops the gluing makes (vertical: bottom of the left factor to
 top of the right factor; horizontal: east of the left factor to west of
-the right factor), and the two closures join the remaining four ends in
-the two planar ways.
+the right factor).  The two closures join the four ends in the two planar
+ways.
 """
 
 from __future__ import annotations
@@ -324,129 +326,40 @@ def expand_rational(ks: list[int] | tuple[int, ...]) -> TangleExpr:
 
 
 # ---------------------------------------------------------------------------
-# strand connectivity
+# connectivity by parity
 # ---------------------------------------------------------------------------
 
-ENDS = ("nw", "ne", "sw", "se")
+#: The parity of a 4-ended tangle says which end nw is joined to: 0 for ne,
+#: 1 for se, INF for sw.  A small int, so that p -> INF - p swaps 0 and INF.
+INF = 2
 
 
-@dataclass(frozen=True)
-class StrandPairing:
-    """Perfect matching on the four ends plus interior closed loops."""
+def parity(expr: TangleExpr) -> tuple[int, int]:
+    """(parity, interior closed loops) of a tangle.
 
-    pairs: frozenset  # frozenset of frozensets {end, end}
-    closed_loops: int
-
-    def partner(self, end: str) -> str:
-        for pair in self.pairs:
-            if end in pair:
-                (other,) = pair - {end}
-                return other
-        raise KeyError(end)
-
-
-def _matching(p1: str, q1: str, p2: str, q2: str, loops: int = 0) -> StrandPairing:
-    return StrandPairing(
-        frozenset({frozenset({p1, q1}), frozenset({p2, q2})}), loops
-    )
-
-
-def strand_pairing(expr: TangleExpr) -> StrandPairing:
-    """End-to-end connectivity of a tangle, with interior loop count."""
+    Horizontal composition adds parities mod 2 with INF absorbing, and
+    INF *h INF closes a loop; vertical composition is the same rule with 0
+    and INF swapped, so 0 *v 0 closes a loop.  A rational tangle has the
+    parity of its expansion and no loops.
+    """
     if isinstance(expr, IntTwist):
-        if expr.k % 2:
-            return _matching("nw", "se", "ne", "sw")
-        return _matching("nw", "ne", "sw", "se")
+        return expr.k % 2, 0
     if isinstance(expr, VertTwist):
-        if expr.k % 2:
-            return _matching("nw", "se", "ne", "sw")
-        return _matching("nw", "sw", "ne", "se")
+        return INF - expr.k % 2, 0
     if isinstance(expr, Rational):
-        return strand_pairing(expand_rational(expr.ks))
-    left = strand_pairing(expr.left)
-    right = strand_pairing(expr.right)
-    if isinstance(expr, CompV):
-        glue = (("sw", "nw"), ("se", "ne"))
-        outer = {("L", "nw"): "nw", ("L", "ne"): "ne",
-                 ("R", "sw"): "sw", ("R", "se"): "se"}
-    else:
-        glue = (("ne", "nw"), ("se", "sw"))
-        outer = {("L", "nw"): "nw", ("L", "sw"): "sw",
-                 ("R", "ne"): "ne", ("R", "se"): "se"}
-    return _glue(left, right, glue, outer)
-
-
-def _glue(
-    left: StrandPairing,
-    right: StrandPairing,
-    glue: tuple,
-    outer: dict,
-) -> StrandPairing:
-    # adjacency: matching edges inside each factor plus the glue edges
-    link: dict[tuple, tuple] = {}
-    for side, sp in (("L", left), ("R", right)):
-        for pair in sp.pairs:
-            a, b = tuple(pair)
-            link[(side, a)] = (side, b)
-            link[(side, b)] = (side, a)
-    glued: dict[tuple, tuple] = {}
-    for le, re in glue:
-        glued[("L", le)] = ("R", re)
-        glued[("R", re)] = ("L", le)
-
-    loops = left.closed_loops + right.closed_loops
-    pairs = set()
-    seen: set[tuple] = set()
-    for start in outer:
-        if start in seen:
-            continue
-        node = start
-        seen.add(node)
-        while True:
-            node = link[node]
-            seen.add(node)
-            if node in outer:
-                break
-            node = glued[node]
-            seen.add(node)
-        pairs.add(frozenset({outer[start], outer[node]}))
-    # any glued endpoint not reached from an outer end lies on a closed loop
-    interior = [n for n in glued if n not in seen]
-    visited: set[tuple] = set()
-    for start in interior:
-        if start in visited:
-            continue
-        node = start
-        while node not in visited:
-            visited.add(node)
-            node = link[node]
-            visited.add(node)
-            node = glued[node]
-        loops += 1
-    return StrandPairing(frozenset(pairs), loops)
+        return parity(expand_rational(expr.ks))
+    (a, loops_a), (b, loops_b) = parity(expr.left), parity(expr.right)
+    vertical = isinstance(expr, CompV)
+    if vertical:
+        a, b = INF - a, INF - b
+    p = INF if INF in (a, b) else a ^ b
+    loops = loops_a + loops_b + (a == b == INF)
+    return (INF - p if vertical else p), loops
 
 
 def component_count(c: ClosureExpr) -> int:
-    """Number of link components of the closed-up tangle."""
-    sp = strand_pairing(c.body)
-    if c.kind == "D":
-        joins = (("nw", "sw"), ("ne", "se"))
-    else:
-        joins = (("nw", "ne"), ("sw", "se"))
-    partner = {}
-    for a, b in joins:
-        partner[a] = b
-        partner[b] = a
-    count = sp.closed_loops
-    seen: set[str] = set()
-    for start in ENDS:
-        if start in seen:
-            continue
-        node = start
-        while node not in seen:
-            seen.add(node)
-            node = sp.partner(node)
-            seen.add(node)
-            node = partner[node]
-        count += 1
-    return count
+    """Number of link components of the closed-up tangle: D joins nw-sw
+    and ne-se, so it makes two components from parity INF; N joins nw-ne
+    and sw-se, so it makes two from parity 0."""
+    p, loops = parity(c.body)
+    return loops + (2 if p == (INF if c.kind == "D" else 0) else 1)

@@ -6,8 +6,11 @@ construction of a third matrix with two prescribed pair traces,
 completion of a fourth matrix from a vanishing 4x4 Gram determinant, and
 the t13-parameterized family whose members are pairwise non-conjugate.
 
-numpy is imported inside the functions that call it, not at module level:
-the CLI imports this module, and `emit` must not pay for loading numpy.
+The Gram algebra is in closed form: determinants by cofactor expansion,
+and the 4x4 conditions through the bordered-determinant identity
+det [[S, s], [s^T, s44]] = s44 det S - s^T adj(S) s, which is quadratic in
+s24 and gives the completing coefficients adj(S) s / det S.  The module
+uses no numpy.
 """
 
 from __future__ import annotations
@@ -42,23 +45,43 @@ def _tr_prod(x: Mat2, y: Mat2) -> complex:
     return x.a11 * y.a11 + x.a12 * y.a21 + x.a21 * y.a12 + x.a22 * y.a22
 
 
+Rows = tuple[tuple[complex, ...], ...]  # a square matrix, by rows
+
+
+def _minor(m: Rows, i: int, j: int) -> Rows:
+    """m without row i and column j."""
+    return tuple(row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i)
+
+
+def _det(m: Rows) -> complex:
+    """Determinant by cofactor expansion along the first row; meant for the
+    n <= 4 Gram matrices here."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum((-1) ** j * m[0][j] * _det(_minor(m, 0, j)) for j in range(len(m)))
+
+
+def _adj(m: Rows) -> list[list[complex]]:
+    """Adjugate: adj[i][j] is the (j, i) cofactor."""
+    n = len(m)
+    return [[(-1) ** (i + j) * _det(_minor(m, j, i)) for j in range(n)] for i in range(n)]
+
+
 @dataclass(frozen=True)
 class GramData:
     matrices: tuple[Mat2, ...]
     traces: tuple[complex, ...]
     barred: tuple[Mat2, ...]
-    S: "numpy.ndarray"  # symmetric matrix of pair traces
+    S: Rows  # symmetric matrix of pair traces
 
     def det(self) -> complex:
-        import numpy as np
-
-        return complex(np.linalg.det(self.S))
+        return _det(self.S)
 
 
 def gram(matrices: list[Mat2], traces: list[complex], tol: float = TOL) -> GramData:
     """Pairing data s_ij = tr(abar_i abar_j); s_ii = t_i^2/2 - 2."""
-    import numpy as np
-
     if len(matrices) != len(traces):
         raise DomainError("one trace per matrix required")
     for a, t in zip(matrices, traces):
@@ -66,11 +89,16 @@ def gram(matrices: list[Mat2], traces: list[complex], tol: float = TOL) -> GramD
             raise DomainError("matrix trace does not match the stated value")
     barred = tuple(_bar(a, t) for a, t in zip(matrices, traces))
     n = len(barred)
-    S = np.empty((n, n), dtype=complex)
+    S = [[0j] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            S[i, j] = S[j, i] = _tr_prod(barred[i], barred[j])
-    return GramData(tuple(m.to_complex() for m in matrices), tuple(map(complex, traces)), barred, S)
+            S[i][j] = S[j][i] = _tr_prod(barred[i], barred[j])
+    return GramData(
+        tuple(m.to_complex() for m in matrices),
+        tuple(map(complex, traces)),
+        barred,
+        tuple(map(tuple, S)),
+    )
 
 
 def third_with_traces(
@@ -165,29 +193,26 @@ def complete_fourth(
     tol: float = 1e-8,
 ) -> Mat2:
     """a4 = c1 abar_1 + c2 abar_2 + c3 abar_3 + (t4/2) e with prescribed
-    pairings; requires the extended 4x4 Gram determinant to vanish."""
-    import numpy as np
-
+    pairings, c = adj(S) s / det S; requires the extended 4x4 Gram
+    determinant s44 det S - s^T adj(S) s to vanish."""
     if len(g.matrices) != 3:
         raise DomainError("complete_fourth needs exactly three matrices")
     detS = g.det()
     if abs(detS) < 1e-6:
         raise GenericityError("barred matrices are not linearly independent")
-    s4 = np.array([s14, s24, s34], dtype=complex)
-    S4 = np.empty((4, 4), dtype=complex)
-    S4[:3, :3] = g.S
-    S4[:3, 3] = S4[3, :3] = s4
-    S4[3, 3] = t4 * t4 / 2 - 2
-    d4 = complex(np.linalg.det(S4))
-    scale = max(1.0, float(np.max(np.abs(S4))) ** 4)
+    s4 = (complex(s14), complex(s24), complex(s34))
+    s44 = t4 * t4 / 2 - 2
+    adj_s = [sum(a * x for a, x in zip(row, s4)) for row in _adj(g.S)]
+    d4 = s44 * detS - sum(x * y for x, y in zip(s4, adj_s))
+    entries = [z for row in g.S for z in row] + [*s4, s44]
+    scale = max(1.0, max(map(abs, entries)) ** 4)
     if abs(d4) > tol * scale:
         raise InconsistencyError(
             f"extended Gram determinant must vanish; got {d4:.3e}"
         )
-    c = np.linalg.solve(g.S, s4)
     a4 = IDENTITY.scale(t4 / 2)
-    for ci, bar in zip(c, g.barred):
-        a4 = a4 + bar.scale(complex(ci))
+    for y, bar in zip(adj_s, g.barred):
+        a4 = a4 + bar.scale(y / detS)
     if abs(complex(a4.det()) - 1) > 1e-6:
         raise InconsistencyError("completed matrix is not unimodular")
     return a4
@@ -198,25 +223,18 @@ def solve_s24(
 ) -> tuple[complex, complex]:
     """Both values of s24 making the extended Gram determinant vanish.
 
-    The determinant is quadratic in s24; its coefficients are recovered by
-    interpolation at s24 in {0, 1, -1}.
+    The determinant s44 det S - s^T adj(S) s with s = (s14, s24, s34) is
+    quadratic in s24, and adj(S) gives its coefficients.
     """
-    import numpy as np
-
-    def det_at(x: complex) -> complex:
-        S4 = np.empty((4, 4), dtype=complex)
-        S4[:3, :3] = g.S
-        col = np.array([s14, x, s34], dtype=complex)
-        S4[:3, 3] = S4[3, :3] = col
-        S4[3, 3] = t4 * t4 / 2 - 2
-        return complex(np.linalg.det(S4))
-
-    d0, dp, dm = det_at(0), det_at(1), det_at(-1)
-    qa = (dp + dm) / 2 - d0
-    qb = (dp - dm) / 2
+    adj = _adj(g.S)
+    qa = -adj[1][1]
+    qb = -2 * (adj[0][1] * s14 + adj[1][2] * s34)
+    qc = (t4 * t4 / 2 - 2) * g.det() - (
+        adj[0][0] * s14 * s14 + 2 * adj[0][2] * s14 * s34 + adj[2][2] * s34 * s34
+    )
     if abs(qa) < 1e-9:
         raise DomainError("Gram determinant degenerates in s24 (not quadratic)")
-    disc = cmath.sqrt(qb * qb - 4 * qa * d0)
+    disc = cmath.sqrt(qb * qb - 4 * qa * qc)
     roots = sorted(
         ((-qb + disc) / (2 * qa), (-qb - disc) / (2 * qa)),
         key=lambda z: (z.real, z.imag),
@@ -269,9 +287,9 @@ def witness_family(
     t34: complex,
     t14: complex,
     t13_samples: list[complex],
-    root_index: int = 0,
 ) -> list[WitnessSample]:
-    """One quadruple per admissible t13 value, pairwise non-conjugate.
+    """One quadruple per admissible t13 value, pairwise non-conjugate; each
+    takes the first root of ``solve_s24``.
 
     Side conditions: t23, t34, t14 avoid {2, t^2 - 2}; each t13 avoids
     {t23, t^2 - t23} and keeps the 3x3 Gram determinant nonzero.
@@ -286,7 +304,7 @@ def witness_family(
         g = gram([a1, a2, a3], [t, t, t])
         s14 = t14 - t * t / 2
         s34 = t34 - t * t / 2
-        s24 = solve_s24(g, s14, s34, t)[root_index]
+        s24 = solve_s24(g, s14, s34, t)[0]
         a4 = complete_fourth(g, s14, s24, s34, t)
         g4 = gram([a1, a2, a3, a4], [t, t, t, t])
         out.append(

@@ -91,9 +91,20 @@ def _module_level_imports(module) -> list[str]:
     return names
 
 
+def _bench_witness_args() -> list[str]:
+    """The benchmark's witness arguments, ``WITNESS_ARGS`` in
+    perfbench/child.py, read without importing the benchmark."""
+    child = Path(arborchar.__file__).resolve().parents[2] / "perfbench" / "child.py"
+    for node in ast.parse(child.read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WITNESS_ARGS":
+            return ast.literal_eval(node.value)
+    raise LookupError("WITNESS_ARGS not found")
+
+
 class TestEmitWithoutNumpy:
-    """emit is exact arithmetic: loading the CLI and emitting never load
-    numpy, which only the oracle and witness functions use."""
+    """emit is exact arithmetic and witness closed-form algebra: loading
+    the CLI and running either never loads numpy, which only the oracle's
+    functions use."""
 
     @pytest.mark.parametrize("module", [oracle, witness], ids=["oracle", "witness"])
     def test_no_module_level_numpy_import(self, module):
@@ -101,23 +112,46 @@ class TestEmitWithoutNumpy:
         assert "cmath" in imported
         assert [m for m in imported if m.split(".")[0] == "numpy"] == []
 
+    def test_witness_imports_no_numpy(self):
+        tree = ast.parse(inspect.getsource(witness))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert "cmath" in imported
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
     def test_fresh_emit_leaves_numpy_unloaded(self, tmp_path):
-        script = f"""
+        out = str(tmp_path / "out.json")
+        assert not _numpy_loaded_after(
+            [["emit", "--format", "json", "--out", out, *argv]
+             for argv in (["D([1/1] *v [1/2])"], ["--link", "D([3] *v [3] *v [3] *v [3])"])]
+        )
+
+    def test_fresh_witness_leaves_numpy_unloaded(self, tmp_path):
+        out = str(tmp_path / "out.json")
+        assert not _numpy_loaded_after([["witness", *_bench_witness_args(), "--out", out]])
+
+
+def _numpy_loaded_after(argvs: list[list[str]]) -> bool:
+    """Whether a fresh interpreter has numpy loaded after running each
+    argv through cli.main, every one of which must succeed."""
+    script = f"""
 import sys
 from arborchar import cli
-for argv in (["D([1/1] *v [1/2])"], ["--link", "D([3] *v [3] *v [3] *v [3])"]):
-    code = cli.main(["emit", "--format", "json", "--out", {str(tmp_path / "out.json")!r}, *argv])
+for argv in {argvs!r}:
+    code = cli.main(argv)
     assert code == cli.EXIT_OK, code
 print("numpy" in sys.modules)
 """
-        env = dict(os.environ)
-        src = str(Path(arborchar.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+    env = dict(os.environ)
+    src = str(Path(arborchar.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip() == "True"
 
 
 class TestComponents:

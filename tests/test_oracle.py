@@ -1,10 +1,12 @@
 """Numeric matrix oracle: frozen crossing conventions and verification suites."""
 
 import ast
+import dataclasses
 import inspect
 import itertools
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +194,7 @@ class TestSuites:
     def test_rejections_counted_by_reason(self, monkeypatch):
         # sample 0 is rejected twice, then passes; sample 1 never passes,
         # so its last error ends the sample instead of being a rejection
-        def suite(rng, tol):
+        def suite(rng):
             attempt = suite.attempts = suite.attempts + 1
             if attempt <= 2:
                 raise ConditioningError("first" if attempt == 1 else "second")
@@ -207,6 +209,27 @@ class TestSuites:
         assert rep.rejected_by_reason == {"first": 1, "second": 12}
         assert rep.failures == [{"sample": 1, "error": "kept degenerating"}]
         assert rep.to_json()["rejected_by_reason"] == {"first": 1, "second": 12}
+
+    def test_failed_check_is_a_counted_failure(self, monkeypatch):
+        # key2's sign-trick check is part of the residual, not an assert:
+        # a wrong decomposition fails the sample instead of raising
+        real = oracle.decompose_pair
+
+        def unflipped(*args):
+            return dataclasses.replace(real(*args), sign_flipped=False)
+
+        monkeypatch.setattr(oracle, "decompose_pair", unflipped)
+        rep = run_suite("key2", samples=1)
+        assert not rep.passed
+        assert rep.failures[0]["sample"] == 0 and rep.max_residual > rep.tol
+
+    def test_library_has_no_assert(self):
+        # checks must hold under python -O and end as counted failures
+        src = Path(oracle.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+            assert asserts == [], (path.name, asserts)
 
     def test_base_builds_each_twist_triple_once(self, monkeypatch):
         calls = []

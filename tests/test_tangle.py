@@ -1,11 +1,13 @@
 """Tangle grammar, printer, rational expansion, and connectivity."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from arborchar.errors import TangleParseError
 from arborchar.tangle import (
+    INF,
     MAX_DEPTH,
     ClosureExpr,
     CompH,
@@ -17,9 +19,9 @@ from arborchar.tangle import (
     continued_fraction,
     expand_rational,
     from_json,
+    parity,
     parse,
     print_expr,
-    strand_pairing,
     to_json,
     tree_depth,
 )
@@ -119,12 +121,10 @@ class TestRational:
 
 class TestConnectivity:
     def test_single_crossing_pairing(self):
-        sp = strand_pairing(IntTwist(1))
-        assert sp.partner("nw") == "se" and sp.partner("ne") == "sw"
-        sp = strand_pairing(IntTwist(2))
-        assert sp.partner("nw") == "ne" and sp.partner("sw") == "se"
-        sp = strand_pairing(VertTwist(2))
-        assert sp.partner("nw") == "sw" and sp.partner("ne") == "se"
+        # parity: nw joined to ne (0), se (1) or sw (INF)
+        assert parity(IntTwist(1)) == (1, 0)
+        assert parity(IntTwist(2)) == (0, 0)
+        assert parity(VertTwist(2)) == (INF, 0)
 
     def test_component_counts(self):
         # knots
@@ -137,7 +137,38 @@ class TestConnectivity:
         assert component_count(parse("N([2])")) == 2
 
     def test_closed_loops_counted(self):
-        # N-closure of [2] *h [2] creates no interior loop; a Hopf-like
-        # stack does not lose components
-        c = parse("N([2] *h [2])")
-        assert component_count(c) >= 1
+        # gluing two even twists along their parallel strands closes a loop
+        assert component_count(parse("D([1/2] *h [1/2])")) == 3
+        assert component_count(parse("N([2] *v [2])")) == 3
+        assert component_count(parse("D([1/2] *h [1/2] *h [1/2])")) == 4
+        assert component_count(parse("N([2] *v [2] *v [2])")) == 4
+        # [2] *h [2] is the twist [4]: no interior loop
+        assert component_count(parse("N([2] *h [2])")) == 2
+
+    def test_pretzel_rule(self):
+        # D([p1] *v ... *v [pn]) with m even entries has m components if
+        # m > 0, else 1 for odd n and 2 for even n
+        rng = random.Random(11)
+        for _ in range(500):
+            ps = [rng.choice((-4, -3, -2, -1, 1, 2, 3, 4, 5)) for _ in range(rng.randint(1, 8))]
+            m = sum(p % 2 == 0 for p in ps)
+            want = m if m else 2 - len(ps) % 2
+            text = "D(" + " *v ".join(f"[{p}]" for p in ps) + ")"
+            assert component_count(parse(text)) == want, text
+
+    def test_rational_rule(self):
+        # p/q = continued_fraction(ks): N([[ks]]) has two components iff p
+        # is even, D([[ks]]) iff q is even
+        rng = random.Random(12)
+        checked = 0
+        for _ in range(500):
+            ks = tuple(rng.choice((-3, -2, -1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 6)))
+            try:
+                frac = continued_fraction(ks)
+            except TangleParseError:
+                continue
+            checked += 1
+            body = Rational(ks)
+            assert component_count(ClosureExpr("N", body)) == 2 - frac.numerator % 2, ks
+            assert component_count(ClosureExpr("D", body)) == 2 - frac.denominator % 2, ks
+        assert checked > 400
