@@ -9,6 +9,18 @@ zeros trimmed, so values stay canonical when later variables are
 registered.  The monomial order is graded lexicographic with
 earlier-registered variables taking priority.
 
+Products and exact divisions pack exponent tuples into ints for the span of
+one operation (``_Packing``; Johnson, SIGSAM Bull. 1974; Monagan and
+Pearce, CASC 2007): a total-degree field, then one field per variable, each
+with a guard bit.  A product of monomials is then an int sum, a
+divisibility test is one mask, and int order is the monomial order, which
+``leading`` and ``sorted_terms`` use as well.  Operands and results keep
+their tuple keys.  A factor with a single term is applied as an exponent
+shift and a coefficient scale, without packing: no two of its products can
+collide.  ``FactoredRatFun`` keeps a rational scalar apart from its
+numerator, so the integer numerators that ``RatFun`` normalises to stay
+integer through its arithmetic.
+
 This module is the only one that maps variable names to exponent
 positions.  Other modules work by name: ``relabel`` takes a
 ``{old_name: new_name}`` map, ``earliest`` says which of some variables
@@ -27,10 +39,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, neg, sub
-from typing import Iterable, Iterator, Mapping, Union
+from operator import add, and_, lshift
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 from .errors import ConditioningError, DomainError
 
@@ -110,8 +122,63 @@ def _pad(exp: tuple[int, ...], n: int) -> tuple[int, ...]:
     return exp + (0,) * (n - len(exp))
 
 
-def _grlex_key(exp: tuple[int, ...], width: int):
-    return (sum(exp), _pad(exp, width))
+class _Packing:
+    """Exponent tuples packed into ints, for the span of one operation.
+
+    Fields, most significant first: the total degree, then the exponent of
+    each variable in registry order.  So int order is the monomial order and
+    a product of monomials is a sum of ints.  A field is one byte when the
+    operation's degree bound is below 128 and two bytes below 32768, so its
+    top bit, the guard bit, is clear in every monomial of the operation.
+    For packed a and b, ``(a - b) & guard`` is then nonzero exactly when
+    some exponent of a is less than that of b: the least significant such
+    field is the first to borrow, which sets its guard bit, and with no such
+    field nothing borrows.  ``guard`` masks the exponent fields' guard bits.
+    """
+
+    __slots__ = ("guard", "_bytes", "_width", "_ends", "_top")
+
+    def __init__(self, degree: int, width: int):
+        """A packing for monomials in at most ``width`` variables whose total
+        degree is at most ``degree``."""
+        if degree < 1 << 7:
+            size = 1
+        elif degree < 1 << 15:
+            size = 2
+        else:
+            raise DomainError(f"total degree {degree} is too large to pack")
+        bits = 8 * size
+        self._bytes = size
+        self._width = width
+        # _ends[n] is the shift of variable n - 1's field, so it places a
+        # tuple of length n whose fields are laid out end to end (an empty
+        # tuple packs to 0 under any shift); _ends[1:] places each field
+        self._ends = range(bits * width, -1, -bits)
+        self._top = bits * width
+        self.guard = int.from_bytes(b"\x80".ljust(size, b"\0") * width, "big")
+
+    def pack(self, exps: Collection[tuple[int, ...]]) -> Iterator[int]:
+        """The packed monomials of a collection of exponent tuples, in its
+        order.  With one-byte fields every step is a builtin mapped over the
+        collection, with no Python frame per monomial; so is ``unpack``."""
+        if self._bytes == 1:
+            fields = map(int.from_bytes, map(bytes, exps), repeat("big"))
+            low = map(lshift, fields, map(self._ends.__getitem__, map(len, exps)))
+        else:
+            shifts = self._ends[1:]
+            low = (sum(map(lshift, e, shifts)) for e in exps)
+        return map(add, low, map(lshift, map(sum, exps), repeat(self._top)))
+
+    def unpack(self, keys: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        """The trimmed exponent tuples of packed monomials, in their order."""
+        size = self._bytes
+        # the exponent fields, without the degree field above them
+        fields = map(int.to_bytes, map(and_, keys, repeat((1 << self._top) - 1)),
+                     repeat(size * self._width), repeat("big"))
+        if size == 1:
+            return map(tuple, map(bytes.rstrip, fields, repeat(b"\0")))
+        return (_trim(tuple(map(add, map(lshift, f[::2], repeat(8)), f[1::2])))
+                for f in fields)
 
 
 class MultiPoly:
@@ -160,7 +227,7 @@ class MultiPoly:
         return next(iter(self.terms.values()))
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def degree_in(self, var_index: int) -> int:
         return max(
@@ -175,20 +242,26 @@ class MultiPoly:
         return used
 
     def _width(self) -> int:
-        return max((len(e) for e in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
+
+    def _packing(self) -> _Packing:
+        return _Packing(self.total_degree(), self._width())
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
         if not self.terms:
             raise DomainError("zero polynomial has no leading term")
-        w = self._width()
-        exp = max(self.terms, key=lambda e: _grlex_key(e, w))
+        if len(self.terms) == 1:
+            return next(iter(self.terms.items()))
+        packing = self._packing()
+        (exp,) = packing.unpack([max(packing.pack(self.terms))])
         return exp, self.terms[exp]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        w = self._width()
-        return sorted(
-            self.terms.items(), key=lambda kv: _grlex_key(kv[0], w), reverse=True
-        )
+        """Terms in decreasing monomial order."""
+        keys = list(self._packing().pack(self.terms))
+        items = list(self.terms.items())
+        order = sorted(range(len(items)), key=keys.__getitem__, reverse=True)
+        return [items[i] for i in order]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -235,22 +308,42 @@ class MultiPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        # exponents padded to one width while multiplying, trimmed after
-        width = max(self._width(), o._width())
-        right = [(_pad(e, width), c) for e, c in o.terms.items()]
-        out: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in self.terms.items():
-            e1 = _pad(e1, width)
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
+        p = MultiPoly.__new__(MultiPoly)
+        if len(self.terms) == 1 or len(o.terms) == 1:
+            # a monomial factor shifts exponents: no two products collide.
+            # The sum of trimmed tuples, with the longer one's tail, is
+            # trimmed.
+            if len(o.terms) == 1:
+                terms, ((m, cm),) = self.terms, o.terms.items()
+            else:
+                terms, ((m, cm),) = o.terms, self.terms.items()
+            if m:
+                n = len(m)
+                p.terms = {
+                    tuple(map(add, e, m)) + e[n:] + m[len(e):]: _canon(c * cm)
+                    for e, c in terms.items()
+                }
+            else:
+                p.terms = {e: _canon(c * cm) for e, c in terms.items()}
+            return p
+        # products are inserted pair by pair in the operands' term order,
+        # which fixes the order of the product's terms (named_terms yields
+        # them in that order)
+        packing = _Packing(
+            self.total_degree() + o.total_degree(), max(self._width(), o._width())
+        )
+        right = list(zip(packing.pack(o.terms), o.terms.values()))
+        out: dict[int, Scalar] = {}
+        for k1, c1 in zip(packing.pack(self.terms), self.terms.values()):
+            for k2, c2 in right:
+                k = k1 + k2
+                s = out.get(k)
                 s = c1 * c2 if s is None else s + c1 * c2
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    out.pop(e, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = {_trim(e): _canon(c) for e, c in out.items()}
+                    out.pop(k, None)
+        p.terms = dict(zip(packing.unpack(out), map(_canon, out.values())))
         return p
 
     __rmul__ = __mul__
@@ -294,33 +387,38 @@ class MultiPoly:
             return MultiPoly.zero()
         if divisor.is_const():
             return self._divscalar(divisor.const_value())
-        width = max(self._width(), divisor._width())
-        lead, dcoef = divisor.leading()
-        dexp = _pad(lead, width)
-        tail = [(_pad(e, width), c) for e, c in divisor.terms.items() if e != lead]
-        # remainder keyed by padded exponents; heap entries are
-        # (-degree, negated exponents, exponents): the heap's least entry is
-        # the grlex-greatest monomial
-        rem = {_pad(e, width): c for e, c in self.terms.items()}
-        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+        # no monomial of the division has a higher degree than the dividend
+        # or the divisor
+        packing = _Packing(
+            max(self.total_degree(), divisor.total_degree()),
+            max(self._width(), divisor._width()),
+        )
+        tail = dict(zip(packing.pack(divisor.terms), divisor.terms.values()))
+        dk = max(tail)
+        dcoef = tail.pop(dk)
+        # remainder keyed by packed monomials; the heap holds them negated,
+        # so its least entry is the greatest monomial
+        rem = dict(zip(packing.pack(self.terms), self.terms.values()))
+        heap = [-k for k in rem]
         heapify(heap)
-        quo: dict[tuple[int, ...], Scalar] = {}
+        guard = packing.guard
+        quo: dict[int, Scalar] = {}
         while heap:
-            lexp = heappop(heap)[2]
-            lcoef = rem.pop(lexp, None)
+            lk = -heappop(heap)
+            lcoef = rem.pop(lk, None)
             if lcoef is None:  # cancelled, or a repeated heap entry
                 continue
-            qe = tuple(map(sub, lexp, dexp))
-            if min(qe) < 0:
+            qk = lk - dk
+            if qk & guard:  # an exponent of the quotient term is negative
                 return None
             qc = _div(lcoef, dcoef)
-            quo[_trim(qe)] = qc
-            for e, c in tail:
-                m = tuple(map(add, qe, e))
+            quo[qk] = qc
+            for k, c in tail.items():
+                m = qk + k
                 v = rem.get(m)
                 if v is None:
                     rem[m] = -qc * c
-                    heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+                    heappush(heap, -m)
                 else:
                     v -= qc * c
                     if v:
@@ -328,7 +426,7 @@ class MultiPoly:
                     else:
                         del rem[m]
         p = MultiPoly.__new__(MultiPoly)
-        p.terms = quo
+        p.terms = dict(zip(packing.unpack(quo), quo.values()))
         return p
 
     # -- substitution and evaluation ----------------------------------------
@@ -429,7 +527,7 @@ class MultiPoly:
         c = self.content()
         if self.leading()[1] < 0:
             c = -c
-        return self._divscalar(c)
+        return self if c == 1 else self._divscalar(c)
 
     def _divscalar(self, c: Scalar) -> "MultiPoly":
         """self / c for a nonzero scalar c."""
@@ -675,8 +773,8 @@ class RatFun:
 
 
 class FactoredRatFun:
-    """A rational function num / prod(base[j] ** exps[j]) whose denominator
-    is kept as powers of factors from a shared list.
+    """A rational function coef * num / prod(base[j] ** exps[j]) whose
+    denominator is kept as powers of factors from a shared list.
 
     Sums are taken over the least common denominator, not the product of
     the two, and ``to_ratfun`` cancels each factor as often as it divides
@@ -684,12 +782,19 @@ class FactoredRatFun:
     factors never builds the powers that a plain ``RatFun`` sum would have
     to divide out again.  A denominator factor that is not in the list is
     appended to it.
+
+    The rational scalar ``coef`` is kept apart from the numerator, so a
+    numerator lifted from a ``RatFun`` keeps integer coefficients through
+    every operation: scalars meet the numerator only as integer multipliers.
     """
 
-    __slots__ = ("num", "exps", "base")
+    __slots__ = ("num", "coef", "exps", "base")
 
-    def __init__(self, num: MultiPoly, exps: dict[int, int], base: list[MultiPoly]):
+    def __init__(
+        self, num: MultiPoly, coef: Scalar, exps: dict[int, int], base: list[MultiPoly]
+    ):
         self.num = num
+        self.coef = coef
         self.exps = exps
         self.base = base
 
@@ -697,7 +802,7 @@ class FactoredRatFun:
     def lift(x: RatFun, base: list[MultiPoly]) -> "FactoredRatFun":
         """x with its denominator factored over base."""
         exps, scale = FactoredRatFun._factor(x.den, base)
-        return FactoredRatFun(x.num._divscalar(scale), exps, base)
+        return FactoredRatFun(x.num, _div(1, scale), exps, base)
 
     @staticmethod
     def _factor(p: MultiPoly, base: list[MultiPoly]) -> tuple[dict[int, int], Scalar]:
@@ -722,11 +827,11 @@ class FactoredRatFun:
     def _coerce(self, other) -> "FactoredRatFun":
         if isinstance(other, FactoredRatFun):
             return other
-        return FactoredRatFun(MultiPoly._coerce(other), {}, self.base)
+        return FactoredRatFun(MultiPoly._coerce(other), 1, {}, self.base)
 
-    def _raised(self, exps: Mapping[int, int]) -> MultiPoly:
-        """The numerator over the denominator with exponents exps."""
-        n = self.num
+    def _raised(self, exps: Mapping[int, int], m: int) -> MultiPoly:
+        """m times the numerator over the denominator with exponents exps."""
+        n = self.num if m == 1 else self.num * m
         for j in sorted(exps):
             k = exps[j] - self.exps.get(j, 0)
             if k:
@@ -737,12 +842,18 @@ class FactoredRatFun:
         o = self._coerce(other)
         exps = {j: max(self.exps.get(j, 0), o.exps.get(j, 0))
                 for j in self.exps.keys() | o.exps.keys()}
-        return FactoredRatFun(self._raised(exps) + o._raised(exps), exps, self.base)
+        # the common scalar g / d leaves an integer multiplier on each side
+        a, b = self.coef, o.coef
+        g = gcd(a.numerator, b.numerator)
+        d = lcm(a.denominator, b.denominator)
+        num = (self._raised(exps, a.numerator // g * (d // a.denominator))
+               + o._raised(exps, b.numerator // g * (d // b.denominator)))
+        return FactoredRatFun(num, _div(g, d), exps, self.base)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FactoredRatFun":
-        return FactoredRatFun(-self.num, self.exps, self.base)
+        return FactoredRatFun(self.num, -self.coef, self.exps, self.base)
 
     def __sub__(self, other) -> "FactoredRatFun":
         return self + (-self._coerce(other))
@@ -755,7 +866,7 @@ class FactoredRatFun:
         exps = dict(self.exps)
         for j, e in o.exps.items():
             exps[j] = exps.get(j, 0) + e
-        return FactoredRatFun(self.num * o.num, exps, self.base)
+        return FactoredRatFun(self.num * o.num, self.coef * o.coef, exps, self.base)
 
     __rmul__ = __mul__
 
@@ -769,18 +880,20 @@ class FactoredRatFun:
         num = self.num
         for j, e in o.exps.items():
             num = num * self.base[j] ** e
-        return FactoredRatFun(num._divscalar(scale), exps, self.base)
+        return FactoredRatFun(num, _div(self.coef, o.coef * scale), exps, self.base)
 
     def to_ratfun(self) -> RatFun:
         """The RatFun, with every base factor cancelled as often as it
         divides both numerator and denominator."""
-        num, den = self.num, MultiPoly.const(1)
+        num, den = self.num, MultiPoly.const(self.coef.denominator)
         for j in sorted(self.exps):
             e = self.exps[j]
             while e and (q := num.divexact(self.base[j])) is not None:
                 num, e = q, e - 1
             if e:
                 den = den * self.base[j] ** e
+        if self.coef.numerator != 1:
+            num = num * self.coef.numerator
         return RatFun(num, den)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ConditioningError,
@@ -63,21 +64,35 @@ def _det(m: Rows) -> complex:
     return sum((-1) ** j * m[0][j] * _det(_minor(m, 0, j)) for j in range(len(m)))
 
 
-def _adj(m: Rows) -> list[list[complex]]:
+def _adj(m: Rows) -> Rows:
     """Adjugate: adj[i][j] is the (j, i) cofactor."""
     n = len(m)
-    return [[(-1) ** (i + j) * _det(_minor(m, j, i)) for j in range(n)] for i in range(n)]
+    return tuple(
+        tuple((-1) ** (i + j) * _det(_minor(m, j, i)) for j in range(n)) for i in range(n)
+    )
 
 
 @dataclass(frozen=True)
 class GramData:
+    """Pair-trace data of some matrices; det S and adj(S) are computed once,
+    when first asked for, and shared by ``solve_s24`` and ``complete_fourth``."""
+
     matrices: tuple[Mat2, ...]
     traces: tuple[complex, ...]
     barred: tuple[Mat2, ...]
     S: Rows  # symmetric matrix of pair traces
 
     def det(self) -> complex:
+        return self._det_S
+
+    @cached_property
+    def _det_S(self) -> complex:
         return _det(self.S)
+
+    @cached_property
+    def adj(self) -> Rows:
+        """The adjugate of S."""
+        return _adj(self.S)
 
 
 def gram(matrices: list[Mat2], traces: list[complex], tol: float = TOL) -> GramData:
@@ -202,7 +217,7 @@ def complete_fourth(
         raise GenericityError("barred matrices are not linearly independent")
     s4 = (complex(s14), complex(s24), complex(s34))
     s44 = t4 * t4 / 2 - 2
-    adj_s = [sum(a * x for a, x in zip(row, s4)) for row in _adj(g.S)]
+    adj_s = [sum(a * x for a, x in zip(row, s4)) for row in g.adj]
     d4 = s44 * detS - sum(x * y for x, y in zip(s4, adj_s))
     entries = [z for row in g.S for z in row] + [*s4, s44]
     scale = max(1.0, max(map(abs, entries)) ** 4)
@@ -226,7 +241,7 @@ def solve_s24(
     The determinant s44 det S - s^T adj(S) s with s = (s14, s24, s34) is
     quadratic in s24, and adj(S) gives its coefficients.
     """
-    adj = _adj(g.S)
+    adj = g.adj
     qa = -adj[1][1]
     qb = -2 * (adj[0][1] * s14 + adj[1][2] * s34)
     qc = (t4 * t4 / 2 - 2) * g.det() - (

@@ -15,7 +15,7 @@ from arborchar.ratfun import (
     earliest,
     pseudo_reduce,
 )
-from ratfun_helpers import reduce_by
+from ratfun_helpers import grlex_key, reduce_by, reference_divexact, reference_mul
 
 
 def _t():
@@ -143,11 +143,142 @@ class TestMultiPoly:
         assert p.content() == 2
         assert p.primitive() == 3 * t * t - 2 * t + 1
         assert (-p).primitive() == 3 * t * t - 2 * t + 1
+        q = p.primitive()
+        assert q.primitive() is q
 
     def test_json_round_trip(self):
         t, x = _t(), _x()
         p = Fraction(7, 3) * t * x**2 - x + 5
         assert MultiPoly.from_json(p.to_json()) == p
+
+
+def _sparse(rng, names, terms, deg, fractions):
+    """A random sparse polynomial in the named variables, with int or, when
+    fractions is set, partly Fraction coefficients."""
+    idx = [REGISTRY.add(n) for n in names]
+    out = {}
+    for _ in range(terms):
+        exp = [0] * (max(idx) + 1)
+        for i in idx:
+            if rng.random() < 0.6:
+                exp[i] = rng.randint(0, deg)
+        c = rng.randint(-9, 9) or 1
+        if fractions and rng.random() < 0.5:
+            c = Fraction(c, rng.randint(2, 6))
+        out[tuple(exp)] = c
+    return MultiPoly(out)
+
+
+def _assert_terms(p, ref):
+    """p has the reference's terms, in its insertion order, with the same
+    coefficient types."""
+    assert list(p.terms) == list(ref)
+    assert [(c, type(c)) for c in p.terms.values()] == [(c, type(c)) for c in ref.values()]
+
+
+class TestPackedKernel:
+    """Products and exact divisions on packed monomials agree with plain
+    tuple arithmetic (ratfun_helpers), term order included."""
+
+    NAMES = ("t", "x", "r1", "r2", "kp_a", "kp_b")
+
+    def test_products_match_reference(self):
+        rng = random.Random(41)
+        for fractions in (False, True):
+            for _ in range(40):
+                a = _sparse(rng, self.NAMES, rng.randint(1, 7), 4, fractions)
+                b = _sparse(rng, self.NAMES[: rng.randint(1, 6)], rng.randint(1, 7), 4, fractions)
+                _assert_terms(a * b, reference_mul(a, b))
+                _assert_terms(b * a, reference_mul(b, a))
+
+    def test_one_term_factors(self):
+        rng = random.Random(42)
+        p = _sparse(rng, self.NAMES, 8, 3, True)
+        short = _sparse(rng, ("t",), 3, 3, False)
+        mono = 3 * MultiPoly.var("r2") ** 2 * _t()
+        for one in (mono, MultiPoly.const(5), MultiPoly.const(Fraction(-2, 3)),
+                    MultiPoly.var("kp_b") ** 4, _t()):
+            for q in (p, short, mono, MultiPoly.zero()):
+                _assert_terms(one * q, reference_mul(one, q))
+                _assert_terms(q * one, reference_mul(q, one))
+        # a Fraction scale that makes coefficients integral leaves ints
+        half, q = MultiPoly.const(Fraction(3, 2)), 2 * _x() + 4
+        _assert_terms(half * q, reference_mul(half, q))
+        assert all(type(c) is int for c in (half * q).terms.values())
+
+    def test_divisions_match_reference(self):
+        rng = random.Random(43)
+        for fractions in (False, True):
+            for _ in range(30):
+                a = _sparse(rng, self.NAMES, rng.randint(1, 6), 3, fractions)
+                b = _sparse(rng, self.NAMES, rng.randint(2, 4), 3, fractions)
+                if b.is_const():
+                    continue
+                _assert_terms((a * b).divexact(b), reference_divexact(a * b, b))
+                for r in (a * b + 1, a * b + _sparse(rng, self.NAMES, 2, 2, fractions), a):
+                    got = r.divexact(b)
+                    want = reference_divexact(r, b)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        _assert_terms(got, want)
+
+    @pytest.mark.parametrize("bound", [127, 128, 32767])
+    def test_degree_limits(self, bound):
+        # field sizes are chosen from the operands' degree bound: one byte
+        # below 128, two below 32768
+        t, x, y = _t(), _x(), MultiPoly.var("r1")
+        a = x ** (bound // 2) + 2 * t
+        b = y ** (bound - bound // 2) - 3 * x
+        assert a.total_degree() + b.total_degree() == bound
+        _assert_terms(a * b, reference_mul(a, b))
+        p = a * b
+        _assert_terms(p.divexact(b), reference_divexact(p, b))
+        assert p.divexact(b) == a
+        assert (p + t).divexact(b) is None
+        c = (x ** (bound - 1) + y) * (x + 1)  # a dividend at the bound itself
+        assert c.total_degree() == bound
+        _assert_terms(c.divexact(x + 1), reference_divexact(c, x + 1))
+        assert (c + 1).divexact(x + 1) is None
+        width = max(map(len, p.terms))
+        assert [e for e, _ in p.sorted_terms()] == sorted(
+            p.terms, key=lambda e: grlex_key(e, width), reverse=True)
+
+    def test_degree_beyond_two_byte_fields(self):
+        t, x = _t(), _x()
+        a = x ** 16384 + t
+        b = t ** 16384 + x
+        with pytest.raises(DomainError):
+            a * b
+        with pytest.raises(DomainError):
+            (x ** 32768 + 1).divexact(x + 1)
+
+    def test_underflow_in_one_exponent_field(self):
+        # the total degree fits, so only the guard bit of the one exponent
+        # field that underflows can refuse the division; the next more
+        # significant field is nonzero, so the borrow stops there
+        names = self.NAMES
+        width = max(REGISTRY.index(n) for n in names) + 1
+        for i in range(width):
+            v = [MultiPoly.var(REGISTRY.name(k)) for k in range(width)]
+            above = v[i - 1] ** 3 if i else v[(i + 1) % width] ** 3
+            below = v[width - 1] if i < width - 1 else MultiPoly.const(1)
+            dividend = above * v[i] * below
+            divisor = v[i] ** 2
+            assert dividend.total_degree() > divisor.total_degree()
+            assert reference_divexact(dividend, divisor) is None
+            assert dividend.divexact(divisor) is None, i
+            assert dividend.divexact(v[i]) == above * below
+
+    def test_leading_and_sorted_terms_in_grlex_order(self):
+        rng = random.Random(44)
+        for fractions in (False, True):
+            for _ in range(20):
+                p = _sparse(rng, self.NAMES, rng.randint(1, 9), 5, fractions)
+                width = max(map(len, p.terms))
+                want = sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0], width),
+                              reverse=True)
+                assert p.sorted_terms() == want
+                assert p.leading() == want[0]
 
 
 def _as_fractions(p):
@@ -318,6 +449,34 @@ class TestFactoredRatFun:
             assert got.equals(want)
             for f in base:
                 assert got.den.divexact(f) is None or got.num.divexact(f) is None
+
+    def test_fraction_scalars_match_ratfun_arithmetic(self):
+        rng = random.Random(32)
+        t, x = _t(), _x()
+        for _ in range(10):
+            base = self._base()
+            dens = (2 * (x + 1), Fraction(3, 2) * (t - 2), -(t * x - 3), MultiPoly.const(7))
+            a, b, c = (
+                RatFun(_sparse(rng, ("t", "x"), 3, 2, True) + 1, rng.choice(dens))
+                for _ in range(3)
+            )
+            h = Fraction(-5, 3)
+            want = (a * h + b) * c / (b - Fraction(1, 2)) - 3 * a / (2 * (c + 1))
+            fa, fb, fc = (FactoredRatFun.lift(v, base) for v in (a, b, c))
+            got = (fa * h + fb) * fc / (fb - Fraction(1, 2)) - 3 * fa / (2 * (fc + 1))
+            assert got.to_ratfun().equals(want)
+
+    def test_integer_numerators_stay_integer(self):
+        rng = random.Random(33)
+        t, x = _t(), _x()
+        for _ in range(10):
+            base = self._base()
+            a, b = (RatFun(_sparse(rng, ("t", "x"), 3, 2, False) + 1, 2 * (x + 1) * (t - 2))
+                    for _ in range(2))
+            fa, fb = (FactoredRatFun.lift(v, base) for v in (a, b))
+            for f in (fa, fb, fa + fb, 3 * fa - fb, fa * fb, fa / (2 * (fb + 1))):
+                assert all(type(c) is int for c in f.num.terms.values())
+            assert (fa / (2 * (fb + 1))).to_ratfun().equals(a / (2 * (b + 1)))
 
     def test_sum_over_least_common_denominator(self):
         base = self._base()

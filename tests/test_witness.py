@@ -140,6 +140,34 @@ class TestFamily:
         assert len(gaps) == 3
         assert min(gaps) > 1e-3
 
+    def test_cofactors_once_per_member(self, monkeypatch):
+        # det S and adj(S) are computed once per Gram matrix and shared by
+        # solve_s24, complete_fourth and the recorded gram_det3
+        from arborchar import witness
+
+        calls = {"det": 0, "adj": 0}
+        det, adj = witness._det, witness._adj
+
+        def counted_adj(m):
+            calls["adj"] += 1
+            return adj(m)
+
+        def counted_det(m):
+            calls["det"] += len(m) > 2  # the 3x3 and 4x4 expansions, not minors
+            return det(m)
+
+        monkeypatch.setattr(witness, "_adj", counted_adj)
+        monkeypatch.setattr(witness, "_det", counted_det)
+        a1, a2 = _pair()
+        fam = witness_family(
+            a1, a2, T, t23=0.7 + 0.9j, t34=-0.8 + 0.4j, t14=-0.7 + 0.5j,
+            t13_samples=[1.1 + 0.2j, 0.6 - 0.5j, -0.4 + 0.8j],
+        )
+        assert len(fam) == 3
+        # per member: one adjugate of S, det S, and the 4x4 det with its
+        # four 3x3 minors
+        assert calls == {"adj": 3, "det": 3 * (1 + 1 + 4)}
+
     def test_side_condition_gate(self):
         a1, a2 = _pair()
         with pytest.raises(GenericityError):
