@@ -1,6 +1,14 @@
 """Command-line front end: emit presentations, verify with the matrix
 oracle, generate witness families, and count closure components.
 
+A subcommand loads only the modules it runs.  Importing this module loads
+`tangle`, `ratfun`, `invariants` and `chebyshev`, all that `emit` and
+`components` use; `links` (`emit --link`), `oracle` and `mat2` (`verify`,
+`witness`) and `witness` are imported on the first call of the function
+that needs them.  JSON output is written by `_json_text`, which gives the
+bytes of `json.dumps(obj, indent=2)` without the standard encoder's
+pure-Python indenting path.
+
 Exit codes: 0 success, 2 input/validation error, 3 unsupported scope,
 4 verification failure.
 """
@@ -11,10 +19,10 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
+from importlib import import_module
 
-from . import __version__
+from . import SUITE_NAMES, __version__
 from .errors import (
     ArborError,
     GenericityError,
@@ -22,11 +30,26 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .invariants import Presentation, closure_equations
-from .links import link_presentation
-from .mat2 import Mat2
-from .oracle import SUITE_NAMES, run_suite, sample_in_Gt
 from .tangle import ClosureExpr, component_count, parse
-from .witness import pairwise_gaps, witness_family
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for `arborchar.<module>.<name>` that imports the module
+    when it is first called."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# module attributes, so that callers (and tracing) can rebind them
+link_presentation = _deferred("links", "link_presentation")
+run_suite = _deferred("oracle", "run_suite")
+sample_in_Gt = _deferred("oracle", "sample_in_Gt")
+pairwise_gaps = _deferred("witness", "pairwise_gaps")
+witness_family = _deferred("witness", "witness_family")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -75,7 +98,7 @@ def _read_expression(args: argparse.Namespace) -> str:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 return fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _fail(EXIT_INPUT, f"cannot read {args.file}: {exc}")
     if args.expr is None:
         _fail(EXIT_INPUT, "an expression (or --file) is required")
@@ -87,12 +110,62 @@ def _fail(code: int, message: str) -> None:
     raise SystemExit(code)
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(EXIT_INPUT, f"cannot write {path}: {exc}")
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_file(out, text + "\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte.
+
+    Dicts with str keys, lists, tuples, strs and ints are written here, a
+    list of plain ints in one join; every other value (float, bool, None)
+    goes to `json.dumps`.  A bool is never written as an int.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(obj, nl: str, out) -> None:
+    if isinstance(obj, str):
+        out(_encode_str(obj))
+    elif type(obj) is int:
+        out(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        if all(type(v) is int for v in obj):
+            out("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out(sep + _encode_str(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    else:
+        out(json.dumps(obj))
 
 
 def _provenance(expr: str | None = None, seed: int | None = None) -> dict:
@@ -130,7 +203,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = pres.to_json()
         payload["provenance"] = _provenance(expr=text)
-        _write_output(json.dumps(payload, indent=2), args.out)
+        _write_output(_json_text(payload), args.out)
     else:
         _write_output(pres.render_text(), args.out)
     return EXIT_OK
@@ -154,8 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "provenance": _provenance(seed=args.seed),
             "reports": [r.to_json() for r in reports],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_file(args.out, _json_text(payload))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -167,6 +239,8 @@ def _complex_arg(raw: str) -> complex:
 
 
 def _load_pair(path: str) -> tuple[Mat2, Mat2]:
+    from .mat2 import Mat2
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -180,6 +254,8 @@ def _load_pair(path: str) -> tuple[Mat2, Mat2]:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    import random
+
     tol = args.tol
     t = _complex_arg(args.t)
     t23 = _complex_arg(args.t23)
@@ -227,8 +303,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         "min_pairwise_gap": min(gaps) if gaps else None,
         "passed": ok,
     }
-    text = json.dumps(payload, indent=2)
-    _write_output(text, args.out)
+    _write_output(_json_text(payload), args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

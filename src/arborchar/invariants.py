@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chebyshev import chebyshev
 from .errors import DomainError, StructureError, WrongEngineError
-from .mat2 import chebyshev
 from .ratfun import FactoredRatFun, MultiPoly, RatFun, clear_denominators, earliest
 from .tangle import (
     ClosureExpr,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .chebyshev import chebyshev
 from .errors import DomainError, UnsupportedShapeError, WrongEngineError
 from .invariants import Presentation
-from .mat2 import chebyshev
 from .ratfun import MultiPoly, RatFun
 from .tangle import ClosureExpr, CompV, IntTwist, TangleExpr, component_count
 

@@ -1,5 +1,10 @@
-"""2x2 matrix algebra over SL(2,C), special constructors, and pair
-decompositions.
+"""2x2 matrix algebra over SL(2,C), special constructors, matrix powers
+and pair decompositions.
+
+The Chebyshev recursion behind `cayley_power` lives in `arborchar.chebyshev`,
+which the exact engine imports without this module; `ChebyshevPair` and
+`chebyshev` are re-exported here.  Of the CLI's subcommands only `verify`
+and `witness` load this module.
 
 One Mat2 class serves two scalar backends: exact Fractions (golden-value
 tests) and double-precision complex numbers (Monte-Carlo sampling).  All
@@ -13,11 +18,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
+# ChebyshevPair and chebyshev are re-exported: callers of the matrix
+# algebra import them from here
+from .chebyshev import ChebyshevPair, Number, chebyshev  # noqa: F401
 from .errors import ClassificationError, DomainError, GenericityError
-
-Number = Union[int, Fraction, float, complex]
 
 #: default absolute tolerance on entries and traces in double mode
 TOL = 1e-9
@@ -264,37 +269,8 @@ def special(kind: str, *params: Number) -> Mat2:
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev-like recursions and matrix powers
+# matrix powers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChebyshevPair:
-    """omega_n and theta_n at a common argument r = eta + 1/eta."""
-
-    omega: Number
-    theta: Number
-
-
-def chebyshev(n: int, r: Number) -> ChebyshevPair:
-    """Evaluate both second- and first-kind sequences at integer n.
-
-    omega_0 = 0, omega_1 = 1; theta_0 = 2, theta_1 = r; both satisfy
-    s_{n+1} = r*s_n - s_{n-1}, extended to negative n by omega_{-n} =
-    -omega_n and theta_{-n} = theta_n.  Works for any scalar (or
-    polynomial) argument, including the degenerate r = +-2.
-    """
-    m = abs(n)
-    om_prev, om = 0, 1  # omega_0, omega_1
-    th_prev, th = 2, r  # theta_0, theta_1
-    if m == 0:
-        return ChebyshevPair(0 * r, 2 + 0 * r)
-    for _ in range(m - 1):
-        om_prev, om = om, r * om - om_prev
-        th_prev, th = th, r * th - th_prev
-    if n < 0:
-        om = -om
-    return ChebyshevPair(om, th)
 
 
 def cayley_power(z: Mat2, n: int, tol: float = TOL) -> Mat2:

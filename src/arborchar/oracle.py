@@ -10,8 +10,9 @@ Two independent pillars:
 Each suite draws per-sample RNG streams keyed by (suite, seed, index), so
 runs are reproducible and order-independent.
 
-numpy is imported inside the functions that call it, not at module level:
-the CLI imports this module, and `emit` must not pay for loading numpy.
+numpy is imported inside the functions that call it, not at module level,
+so loading this module does not load numpy.  The suite names are
+`arborchar.SUITE_NAMES`, in the order of `_SUITES`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import SUITE_NAMES
 from .errors import ConditioningError, DomainError
 from .invariants import InvariantData, Presentation, base_invariants, closure_equations
 from .mat2 import (
@@ -1002,8 +1004,6 @@ _SUITES = {
     "presentation": _suite_presentation,
     "pretzel": _suite_pretzel,
 }
-
-SUITE_NAMES = tuple(_SUITES)
 
 # heavier suites get fewer default samples
 _DEFAULT_SAMPLES = {

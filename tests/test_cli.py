@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, environment overrides."""
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -67,6 +68,18 @@ class TestEmit:
     def test_supported_link_shape(self, capsys):
         assert _run(["emit", "--link", "D([3] *v [3] *v [3] *v [3])"]) == EXIT_OK
 
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.json"
+        argv = ["emit", "--format", "json", "--out", str(dest), "D([1/1] *v [1/2])"]
+        assert _run(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: cannot write {dest}")
+
+    def test_undecodable_file_is_an_input_error(self, tmp_path, capsys):
+        src = tmp_path / "expr.txt"
+        src.write_bytes(b"D([1/1] *v [1/2])\xff\xfe\n")
+        assert _run(["emit", "--file", str(src)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: cannot read {src}")
+
     def test_degenerate_gluing_is_unsupported(self, capsys):
         # the closure's gluing pins the shared coordinate, so the generic
         # substitution has an identically zero denominator
@@ -91,14 +104,19 @@ def _module_level_imports(module) -> list[str]:
     return names
 
 
-def _bench_witness_args() -> list[str]:
-    """The benchmark's witness arguments, ``WITNESS_ARGS`` in
-    perfbench/child.py, read without importing the benchmark."""
-    child = Path(arborchar.__file__).resolve().parents[2] / "perfbench" / "child.py"
-    for node in ast.parse(child.read_text()).body:
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WITNESS_ARGS":
+def _perfbench_constant(filename: str, name: str):
+    """The literal assigned to ``name`` at the top level of
+    perfbench/FILENAME, read without importing the benchmark."""
+    path = Path(arborchar.__file__).resolve().parents[2] / "perfbench" / filename
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name:
             return ast.literal_eval(node.value)
-    raise LookupError("WITNESS_ARGS not found")
+    raise LookupError(f"{name} not found in {filename}")
+
+
+def _bench_witness_args() -> list[str]:
+    """The benchmark's witness arguments, ``WITNESS_ARGS`` in perfbench/child.py."""
+    return _perfbench_constant("child.py", "WITNESS_ARGS")
 
 
 class TestEmitWithoutNumpy:
@@ -123,26 +141,79 @@ class TestEmitWithoutNumpy:
 
     def test_fresh_emit_leaves_numpy_unloaded(self, tmp_path):
         out = str(tmp_path / "out.json")
-        assert not _numpy_loaded_after(
+        assert "numpy" not in _modules_after(
             [["emit", "--format", "json", "--out", out, *argv]
              for argv in (["D([1/1] *v [1/2])"], ["--link", "D([3] *v [3] *v [3] *v [3])"])]
         )
 
     def test_fresh_witness_leaves_numpy_unloaded(self, tmp_path):
         out = str(tmp_path / "out.json")
-        assert not _numpy_loaded_after([["witness", *_bench_witness_args(), "--out", out]])
+        assert "numpy" not in _modules_after([["witness", *_bench_witness_args(), "--out", out]])
 
 
-def _numpy_loaded_after(argvs: list[list[str]]) -> bool:
-    """Whether a fresh interpreter has numpy loaded after running each
-    argv through cli.main, every one of which must succeed."""
+# what importing the CLI loads, and all that emit and components run
+CLI_MODULES = {"arborchar", "arborchar.errors", "arborchar.tangle", "arborchar.ratfun",
+               "arborchar.invariants", "arborchar.chebyshev", "arborchar.cli"}
+
+
+def _arborchar_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "arborchar"}
+
+
+class TestImportGraph:
+    """A subcommand loads only the modules it runs; links, the oracle,
+    mat2 and witness load on first use."""
+
+    def test_import_and_emit(self, tmp_path):
+        out = str(tmp_path / "out.json")
+        assert _arborchar_modules(_modules_after([])) == CLI_MODULES
+        loaded = _modules_after([["emit", "--format", "json", "--out", out, "D([1/1] *v [1/2])"]])
+        assert _arborchar_modules(loaded) == CLI_MODULES
+
+    def test_emit_link_adds_links(self, tmp_path):
+        out = str(tmp_path / "out.json")
+        loaded = _modules_after(
+            [["emit", "--format", "json", "--out", out, "--link", "D([3] *v [3] *v [3] *v [3])"]]
+        )
+        assert _arborchar_modules(loaded) == CLI_MODULES | {"arborchar.links"}
+
+    def test_components_loads_no_more_than_emit(self):
+        loaded = _modules_after([["components", "D([1/1] *v [1/2])"]])
+        assert _arborchar_modules(loaded) == CLI_MODULES
+
+    def test_verify_loads_oracle_and_mat2(self):
+        loaded = _modules_after([["verify", "--suite", "identities", "--samples", "2"]])
+        assert {"arborchar.oracle", "arborchar.mat2"} <= loaded
+        assert "arborchar.witness" not in loaded
+
+    def test_witness_loads_witness(self, tmp_path):
+        out = str(tmp_path / "out.json")
+        loaded = _modules_after([["witness", *_bench_witness_args(), "--out", out]])
+        assert {"arborchar.witness", "arborchar.oracle", "arborchar.mat2"} <= loaded
+
+    def test_traced_names_resolve(self):
+        """Every (module, attribute) the benchmark's tracer rebinds exists."""
+        functions = _perfbench_constant("spans.py", "_FUNCTIONS")
+        assert ("cli", "run_suite", "oracle") in functions
+        for module, attr, _layer in functions:
+            assert callable(getattr(importlib.import_module(f"arborchar.{module}"), attr))
+
+    def test_suite_names_match_the_oracle(self):
+        assert tuple(oracle._SUITES) == arborchar.SUITE_NAMES
+        assert oracle.SUITE_NAMES is arborchar.SUITE_NAMES
+
+
+def _modules_after(argvs: list[list[str]]) -> set[str]:
+    """The modules a fresh interpreter has loaded after importing the CLI
+    and running each argv through cli.main, every one of which must
+    succeed."""
     script = f"""
-import sys
+import json, sys
 from arborchar import cli
 for argv in {argvs!r}:
     code = cli.main(argv)
     assert code == cli.EXIT_OK, code
-print("numpy" in sys.modules)
+print(json.dumps(sorted(sys.modules)))
 """
     env = dict(os.environ)
     src = str(Path(arborchar.__file__).resolve().parents[1])
@@ -151,7 +222,7 @@ print("numpy" in sys.modules)
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip() == "True"
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 class TestComponents:
@@ -196,6 +267,12 @@ class TestVerify:
         payload = json.loads(dest.read_text())
         assert payload["reports"][0]["suite"] == "key"
         assert payload["reports"][0]["passed"] is True
+
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "v.json"
+        code = _run(["verify", "--suite", "identities", "--samples", "2", "--out", str(dest)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: cannot write {dest}")
 
     def test_env_tolerance(self, capsys, monkeypatch):
         # an absurdly tight tolerance from the environment forces failures
@@ -260,6 +337,11 @@ class TestWitness:
     def test_bad_flag_is_an_input_error(self, flags, capsys):
         assert _run(self.ARGS + flags) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "w.json"
+        assert _run(self.ARGS + ["--t13-count", "2", "--out", str(dest)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: cannot write {dest}")
 
     def test_bad_complex(self, capsys):
         code = _run(["witness", "--t", "nope", "--t23", "1", "--t34", "1", "--t14", "1"])
