@@ -10,6 +10,14 @@ One Mat2 class serves two scalar backends: exact Fractions (golden-value
 tests) and double-precision complex numbers (Monte-Carlo sampling).  All
 constructors keep det = 1 identically, so exact inputs give exact
 unimodular output.
+
+The complex backend is the oracle's inner loop, so Mat2 is a plain
+``__slots__`` class rather than a frozen dataclass, and the scalar helpers
+test ``type(x) is complex`` before the slower ``isinstance`` check against
+the exact types.  These fast paths do the same floating-point operations in
+the same order as the generic ones, so results do not change in the last
+bit.  A Mat2's entries are read-only by convention: nothing assigns to them
+after ``__init__`` (a test guards this).
 """
 
 from __future__ import annotations
@@ -32,11 +40,13 @@ CONDITION_FLOOR = 1e-6
 
 
 def _is_exact(x: Number) -> bool:
+    if type(x) is complex or type(x) is float:
+        return False
     return isinstance(x, (int, Fraction))
 
 
 def _inv(x: Number) -> Number:
-    if _is_exact(x):
+    if type(x) is not complex and _is_exact(x):
         if x == 0:
             raise DomainError("exact division by zero")
         return Fraction(1) / Fraction(x)
@@ -44,30 +54,50 @@ def _inv(x: Number) -> Number:
 
 
 def _near(x: Number, y: Number, tol: float = TOL) -> bool:
-    if _is_exact(x) and _is_exact(y):
+    if type(x) is not complex and _is_exact(x) and _is_exact(y):
         return x == y
     return abs(complex(x) - complex(y)) <= tol
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """An immutable 2x2 matrix; entries may be exact or complex."""
+    """A 2x2 matrix; entries may be exact or complex, and are read-only by
+    convention.  Equality, hash and repr are those of a dataclass with the
+    fields a11, a12, a21, a22."""
 
-    a11: Number
-    a12: Number
-    a21: Number
-    a22: Number
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11: Number, a12: Number, a21: Number, a22: Number) -> None:
+        self.a11 = a11
+        self.a12 = a12
+        self.a21 = a21
+        self.a22 = a22
+
+    def __eq__(self, o: object) -> bool:
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries() == o.entries()
+
+    def __hash__(self) -> int:
+        return hash(self.entries())
+
+    def __repr__(self) -> str:
+        return (
+            f"Mat2(a11={self.a11!r}, a12={self.a12!r}, "
+            f"a21={self.a21!r}, a22={self.a22!r})"
+        )
 
     @staticmethod
     def identity() -> "Mat2":
         return Mat2(1, 0, 0, 1)
 
     def __matmul__(self, o: "Mat2") -> "Mat2":
+        a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
+        b11, b12, b21, b22 = o.a11, o.a12, o.a21, o.a22
         return Mat2(
-            self.a11 * o.a11 + self.a12 * o.a21,
-            self.a11 * o.a12 + self.a12 * o.a22,
-            self.a21 * o.a11 + self.a22 * o.a21,
-            self.a21 * o.a12 + self.a22 * o.a22,
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
         )
 
     def __add__(self, o: "Mat2") -> "Mat2":
@@ -97,13 +127,16 @@ class Mat2:
         return Mat2(self.a22, -self.a12, -self.a21, self.a11)
 
     def inv(self) -> "Mat2":
-        d = self.det()
-        if _is_exact(d):
+        """Inverse; the adjugate scaled by 1/det, entry by entry."""
+        a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
+        d = a11 * a22 - a12 * a21
+        if type(d) is not complex and _is_exact(d):
             if d == 0:
                 raise DomainError("singular matrix")
         elif abs(complex(d)) < CONDITION_FLOOR:
             raise DomainError("numerically singular matrix")
-        return self.adjoint().scale(_inv(d))
+        c = _inv(d)
+        return Mat2(c * a22, c * -a12, c * -a21, c * a11)
 
     def conj_by(self, c: "Mat2") -> "Mat2":
         """c * self * c^{-1}."""
@@ -113,11 +146,28 @@ class Mat2:
         return (self.a11, self.a12, self.a21, self.a22)
 
     def norm(self) -> float:
-        """Largest entry modulus, or NaN when an entry is NaN, so that every
-        ``<=`` bound rejects the matrix (``max`` alone skips a NaN that is
-        not first)."""
-        mods = [abs(complex(x)) for x in self.entries()]
-        return math.nan if any(map(math.isnan, mods)) else max(mods)
+        """Largest entry modulus as a float, or NaN when an entry is NaN, so
+        that every ``<=`` bound rejects the matrix (``max`` alone skips a NaN
+        that is not first)."""
+        a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
+        if (
+            type(a11) is complex and type(a12) is complex
+            and type(a21) is complex and type(a22) is complex
+        ):
+            m11, m12, m21, m22 = abs(a11), abs(a12), abs(a21), abs(a22)
+        else:
+            m11, m12, m21, m22 = (abs(complex(x)) for x in (a11, a12, a21, a22))
+        if m11 != m11 or m12 != m12 or m21 != m21 or m22 != m22:
+            return math.nan
+        # max(m11, m12, m21, m22) without the call
+        m = m11
+        if m12 > m:
+            m = m12
+        if m21 > m:
+            m = m21
+        if m22 > m:
+            m = m22
+        return m
 
     def approx_eq(self, o: "Mat2", tol: float = TOL) -> bool:
         return (self - o).norm() <= tol

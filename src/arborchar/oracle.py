@@ -67,7 +67,10 @@ __all__ = [
 
 
 def _crand(rng: random.Random, radius: float = 1.5) -> complex:
-    return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+    # rng.uniform(-radius, radius) twice, inlined in its exact form
+    # a + (b - a) * rng.random(), so the draws stay the same
+    a, span = -radius, radius - -radius
+    return complex(a + span * rng.random(), a + span * rng.random())
 
 
 def sample_t(rng: random.Random) -> complex:
@@ -76,6 +79,12 @@ def sample_t(rng: random.Random) -> complex:
         t = _crand(rng, 2.2)
         if 0.5 <= abs(t) <= 3 and abs(t - 2) >= 0.3 and abs(t + 2) >= 0.3:
             return t
+
+
+def _moderate(a: complex, b: complex, c: complex, d: complex) -> bool:
+    """Mat2(a, b, c, d).norm() <= 2.2, tested before the matrix is built; a
+    NaN entry fails its comparison here as it fails the norm's."""
+    return abs(a) <= 2.2 and abs(b) <= 2.2 and abs(c) <= 2.2 and abs(d) <= 2.2
 
 
 # draws sample_in_Gt makes before it gives up.  Every sampler keeps |t| <= 3,
@@ -97,9 +106,9 @@ def sample_in_Gt(t: complex, rng: random.Random) -> Mat2:
         if abs(b) < 1e-3:
             continue
         c = (a * (t - a) - 1) / b
-        m = Mat2(a, b, c, t - a)
-        if m.norm() <= 2.2:
-            return m
+        d = t - a
+        if _moderate(a, b, c, d):
+            return Mat2(a, b, c, d)
     raise ConditioningError(
         f"no matrix with trace {complex(t):.4g} and entries of modulus <= 2.2 "
         f"in {_GT_DRAWS} draws"
@@ -117,9 +126,9 @@ def conditioned_pair(t: complex, r: complex, rng: random.Random) -> tuple[Mat2, 
         qc = complex(x.a12) * (a * (t - a) - 1)
         for b in _quad_roots(qa, qb, qc):
             if abs(b) >= 1e-3:
-                y = Mat2(a, b, (a * (t - a) - 1) / b, t - a)
-                if y.norm() <= 2.2:
-                    return x, y
+                c, d = (a * (t - a) - 1) / b, t - a
+                if _moderate(a, b, c, d):
+                    return x, Mat2(a, b, c, d)
     raise ConditioningError("could not condition a pair on tr(xy) = r")
 
 
@@ -169,7 +178,7 @@ def sample_with_product(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TangleRep:
     """End matrices of a built representation, all directed outward."""
 
@@ -201,7 +210,8 @@ class TangleRep:
 
 
 def _tr2(x: Mat2, y: Mat2) -> complex:
-    return complex((x @ y).trace())
+    """tr(x @ y) from the two diagonal entries of the product."""
+    return complex((x.a11 * y.a11 + x.a12 * y.a21) + (x.a21 * y.a12 + x.a22 * y.a22))
 
 
 # The over-strand conjugation rule fixes each crossing sign; these step
@@ -472,30 +482,43 @@ def _nonzero(rng: random.Random) -> complex:
             return z
 
 
-def _cubic_roots(a: complex, b: complex, c: complex) -> list[complex]:
-    """Roots of the monic cubic x^3 + a x^2 + b x + c.
+# the cube roots of unity; Cardano's formula turns one cube root into three
+_OMEGA = complex(-0.5, 3**0.5 / 2)
+_UNITY = (1, _OMEGA, _OMEGA.conjugate())
+
+
+def _cubic_family(a: complex, b: complex):
+    """The roots of the monic cubic x^3 + a x^2 + b x + c as a function of c.
 
     Cardano's formula on the depressed cubic y^3 + p y + q, x = y - a/3,
     taking the square-root branch that avoids cancellation in -q/2 +- s;
     each root is then polished by one Newton step on the original cubic.
+    The terms that do not depend on c are computed once, here.
     """
     p = b - a * a / 3
-    q = (2 * a * a - 9 * b) * a / 27 + c
-    s = cmath.sqrt(q * q / 4 + p * p * p / 27)
-    w = max(-q / 2 + s, -q / 2 - s, key=abs)
-    u = w ** (1 / 3)
-    if u:
-        omega = complex(-0.5, 3**0.5 / 2)
-        ys = [u * z - p / (3 * u * z) for z in (1, omega, omega.conjugate())]
-    else:  # p = q = 0: a triple root
-        ys = [0j, 0j, 0j]
-    roots = []
-    for y in ys:
-        x = y - a / 3
-        d = (3 * x + 2 * a) * x + b
-        if d:
-            x -= (((x + a) * x + b) * x + c) / d
-        roots.append(x)
+    k = (2 * a * a - 9 * b) * a / 27  # q = k + c
+    p3 = p * p * p / 27
+    a3, a2 = a / 3, 2 * a
+
+    def roots(c: complex) -> list[complex]:
+        q = k + c
+        s = cmath.sqrt(q * q / 4 + p3)
+        h = -q / 2
+        w = max(h + s, h - s, key=abs)
+        u = w ** (1 / 3)
+        if u:
+            ys = [u * z - p / (3 * u * z) for z in _UNITY]
+        else:  # p = q = 0: a triple root
+            ys = [0j, 0j, 0j]
+        out = []
+        for y in ys:
+            x = y - a3
+            d = (3 * x + a2) * x + b
+            if d:
+                x -= (((x + a) * x + b) * x + c) / d
+            out.append(x)
+        return out
+
     return roots
 
 
@@ -919,20 +942,25 @@ def _suite_pretzel(rng: random.Random) -> float:
     t2 = sample_t(rng)
 
     picks = [rng.randrange(3) for _ in range(4)]
+    # per-sample constants of the cubic and the numerators
+    a = -t1 * t2
+    s12 = t1 * t1 + t2 * t2
+    t12, tt12 = t1 * t2, 2 * t1 * t2
+    cubic = _cubic_family(a, s12 - 3)
 
     def state(lam: complex):
         if min(abs(lam - 1), abs(lam + 1), abs(lam)) < 0.04:
             raise ConditioningError("lam drifted to a degenerate value")
-        tau = lam + 1 / lam
-        roots = _cubic_roots(-t1 * t2, t1 * t1 + t2 * t2 - 3, -t1 * t2 + tau)
+        li = 1 / lam
+        tau = lam + li
+        roots = cubic(a + tau)
         roots.sort(key=lambda z: (z.real, z.imag))
-        rs = [roots[p] for p in picks]
         dl = delta_two_trace(t1, t2, lam)
-        nums = [
-            (lam - 1 / lam) * (r * r + (1 / lam - t1 * t2) * r - 2)
-            + lam * (t1 * t1 + t2 * t2) - 2 * t1 * t2
-            for r in rs
-        ]
+        # one numerator per root, shared by the picks that choose it
+        ld, lb, ls = lam - li, li - t12, lam * s12
+        per_root = [ld * (r * r + lb * r - 2) + ls - tt12 for r in roots]
+        rs = [roots[p] for p in picks]
+        nums = [per_root[p] for p in picks]
         return tau, rs, complex(dl), nums
 
     def F(lam: complex) -> complex:

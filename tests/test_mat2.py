@@ -1,15 +1,21 @@
 """2x2 matrix algebra, special constructors, and pair decompositions."""
 
+import ast
 import cmath
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import arborchar
 from arborchar.errors import ClassificationError, DomainError, GenericityError
 from arborchar.mat2 import (
     IDENTITY,
     Mat2,
+    _is_exact,
     cayley_power,
     chebyshev,
     closed_trace,
@@ -59,6 +65,114 @@ class TestMat2:
         assert cmath.isnan(Mat2(1, nan, 0, 1).norm())
         assert not Mat2(1, nan, 0, 1).norm() <= 2.2
         assert Mat2(1, -3j, 0, 1).norm() == 3
+
+
+class TestMat2Semantics:
+    """Mat2 is a slotted class; it behaves as the frozen dataclass it was."""
+
+    def test_equality_and_hash(self):
+        a, b = Mat2(1, 2, 3, 4), Mat2(1, 2, 3, 4)
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash((1, 2, 3, 4))
+        # equal entries of different types compare and hash alike
+        c = Mat2(Fraction(1), 2.0, 3 + 0j, 4)
+        assert a == c and hash(a) == hash(c)
+        assert a != Mat2(1, 2, 3, 5)
+        assert len({a, b, c, IDENTITY, Mat2(1, 0, 0, 1)}) == 2
+
+    def test_equality_with_other_types(self):
+        m = Mat2(1, 0, 0, 1)
+        assert (m == object()) is False
+        assert (m != object()) is True
+        assert m.__eq__(object()) is NotImplemented
+        assert m != m.entries()
+
+    def test_repr(self):
+        m = Mat2(1, Fraction(1, 2), 0.5, 1j)
+        assert repr(m) == "Mat2(a11=1, a12=Fraction(1, 2), a21=0.5, a22=1j)"
+
+    def test_no_instance_dict(self):
+        m = Mat2(1, 0, 0, 1)
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(AttributeError):
+            m.extra = 1
+
+    @pytest.mark.parametrize(
+        "entries, want",
+        [
+            ((1, -3, 0, 1), 3.0),
+            ((Fraction(-7, 2), 0, Fraction(1, 3), 1), 3.5),
+            ((True, 0, 0, 1), 1.0),
+        ],
+    )
+    def test_norm_of_exact_entries_is_float(self, entries, want):
+        n = Mat2(*entries).norm()
+        assert type(n) is float and n == want
+
+    @pytest.mark.parametrize("pos", range(4))
+    @pytest.mark.parametrize("other", [1, 1j, np.complex128(2 - 1j)])
+    def test_norm_nan_in_any_position(self, pos, other):
+        entries = [other] * 4
+        entries[pos] = complex("nan") if pos % 2 else float("nan")
+        assert math.isnan(Mat2(*entries).norm())
+
+    def test_norm_matches_entry_moduli(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            entries = [_rnd(rng) for _ in range(4)]
+            want = max(abs(complex(x)) for x in entries)
+            assert Mat2(*entries).norm() == want
+            # numpy scalars, as a solved conjugator has, take the generic path
+            assert Mat2(*map(np.complex128, entries)).norm() == want
+
+    @pytest.mark.parametrize(
+        "x, exact",
+        [
+            (True, True),
+            (3, True),
+            (Fraction(1, 2), True),
+            (0.5, False),
+            (1j, False),
+            (np.complex128(1j), False),
+            (np.float64(0.5), False),
+        ],
+    )
+    def test_is_exact(self, x, exact):
+        assert _is_exact(x) is exact
+
+
+_ENTRIES = {"a11", "a12", "a21", "a22"}
+_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def _entry_writes(tree: ast.AST):
+    """Lines that assign or delete a Mat2 entry name, or call a setattr."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if node.attr in _ENTRIES:
+                yield node.lineno
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _SETTERS:
+                yield node.lineno
+
+
+def test_mat2_entries_are_written_only_in_init():
+    """Entries are read-only by convention; only Mat2.__init__ assigns them."""
+    found = []
+    for path in sorted(Path(arborchar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "mat2.py":
+            (init,) = (
+                f
+                for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Mat2"
+                for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+            )
+            allowed = set(range(init.lineno, init.end_lineno + 1))
+        found += [f"{path.name}:{line}" for line in _entry_writes(tree) if line not in allowed]
+    assert found == []
 
 
 class TestSpecial:
