@@ -51,10 +51,10 @@ class InvariantData:
 
     vars lists the retained twist-region variables in depth-first order;
     constraints are polynomials required to vanish, exclusions polynomials
-    required to stay nonzero (the non-degeneracy loci, each once up to
-    sign); notes parallel the constraints.  A composed record's u-check,
-    and its u-dot after *v, have no exclusion left that divides both
-    numerator and denominator.
+    required to stay nonzero (the non-degeneracy loci; each list holds a
+    polynomial once up to sign); notes parallel the constraints.  A
+    composed record's u-check, and its u-dot after *v, have no exclusion
+    left that divides both numerator and denominator.
     """
 
     vars: tuple[str, ...]
@@ -293,17 +293,9 @@ def _nondegeneracy(a: RatFun) -> tuple[MultiPoly, MultiPoly]:
     return ((a - 2).num, (a + 2 - t * t).num)
 
 
-def _dedup(polys: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
-    out: list[MultiPoly] = []
-    for p in polys:
-        if not any(p == q for q in out):
-            out.append(p)
-    return tuple(out)
-
-
 def _loci(polys: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
-    """Exclusion polynomials without repeats up to sign (p != 0 and -p != 0
-    are one locus); first occurrences are kept."""
+    """Polynomials without repeats up to sign (p = 0 and -p = 0 are one
+    equation, p != 0 and -p != 0 one locus); first occurrences are kept."""
     return tuple(p for i, p in enumerate(polys) if p not in polys[:i] and -p not in polys[:i])
 
 
@@ -337,7 +329,7 @@ def compose(direction: str, I1: InvariantData, I2: InvariantData) -> InvariantDa
         u,
         udot,
         g,
-        _dedup(J1.constraints + J2.constraints + extra),
+        _loci(J1.constraints + J2.constraints + extra),
         exclusions,
         J1.notes + J2.notes + extra_notes,
     )

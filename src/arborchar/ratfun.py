@@ -483,12 +483,12 @@ class MultiPoly:
         p.terms = out
         return p
 
-    def eval(self, point: Mapping[str, complex | Scalar]) -> complex | Fraction:
+    def eval(self, point: Mapping[str, complex | Scalar]) -> complex | Scalar:
         """Evaluate at a point given by variable name."""
-        total: complex | Fraction = Fraction(0)
+        total: complex | Scalar = 0
         values = {REGISTRY.index(n): v for n, v in point.items()}
         for e, c in self.terms.items():
-            term: complex | Fraction = c
+            term: complex | Scalar = c
             for i, p in enumerate(e):
                 if p:
                     if i not in values:

@@ -230,10 +230,10 @@ def print_expr(expr: ClosureExpr | TangleExpr) -> str:
     """Canonical text form; parse(print_expr(e)) == e."""
     if isinstance(expr, ClosureExpr):
         return f"{expr.kind}({print_expr(expr.body)})"
-    return _print_tangle(expr, top=True)
+    return _print_tangle(expr)
 
 
-def _print_tangle(e: TangleExpr, top: bool = False) -> str:
+def _print_tangle(e: TangleExpr) -> str:
     if isinstance(e, IntTwist):
         return f"[{e.k}]"
     if isinstance(e, VertTwist):
@@ -243,8 +243,8 @@ def _print_tangle(e: TangleExpr, top: bool = False) -> str:
     op = " *v " if isinstance(e, CompV) else " *h "
     # left-associative: the left child never needs parentheses, the right
     # child does whenever it is itself a composition
-    left = _print_tangle(e.left, top=False)
-    right = _print_tangle(e.right, top=False)
+    left = _print_tangle(e.left)
+    right = _print_tangle(e.right)
     if isinstance(e.right, (CompV, CompH)):
         right = f"({right})"
     return left + op + right

@@ -206,21 +206,16 @@ class TestAcceptance:
             eq_val = complex(eq.eval(point))
             # scale by the total mass of the evaluated monomials so the
             # check stays relative at large coordinate values
-            idx_names = {REGISTRY.index(n): n for n in point}
             scale = max(
                 1.0,
                 sum(
                     abs(complex(cf))
                     * abs(
                         np.prod(
-                            [
-                                point[idx_names[i]] ** e
-                                for i, e in enumerate(exps)
-                                if e and i in idx_names
-                            ]
+                            [point[n] ** e for n, e in powers.items() if n in point]
                         )
                     )
-                    for exps, cf in eq.terms.items()
+                    for powers, cf in eq.named_terms()
                 ),
             )
             ok = ok and abs(eq_val) / scale < 1e-8
@@ -530,22 +525,8 @@ def _eq_keys(equations):
 
 
 def _rename_equations(equations, mapping):
-    """Simultaneous variable renaming via temporary placeholders."""
-    tmp = {old: f"_acc_tmp{i}" for i, old in enumerate(mapping)}
-    for nm in tmp.values():
-        MultiPoly.var(nm)
-    out = []
-    for p in equations:
-        for old, t_ in tmp.items():
-            idx = REGISTRY.index(old)
-            if idx in p.variables():
-                p = p.subs_poly(idx, MultiPoly.var(t_))
-        for old, new in mapping.items():
-            idx = REGISTRY.index(tmp[old])
-            if idx in p.variables():
-                p = p.subs_poly(idx, MultiPoly.var(new))
-        out.append(p)
-    return out
+    """Simultaneous variable renaming."""
+    return [p.relabel(mapping) for p in equations]
 
 
 def _presentations_match(pa, pb) -> bool:
@@ -579,11 +560,10 @@ def _eval_mass(p: MultiPoly, point) -> tuple[complex, float]:
     """Value of p at point together with the total monomial mass there."""
     val = 0.0 + 0.0j
     mass = 0.0
-    for exps, cf in p.terms.items():
+    for powers, cf in p.named_terms():
         mono = 1.0 + 0.0j
-        for i, e in enumerate(exps):
-            if e:
-                mono *= point[REGISTRY.name(i)] ** e
+        for name, e in powers.items():
+            mono *= point[name] ** e
         term = complex(cf) * mono
         val += term
         mass += abs(term)

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,15 @@ class TestCompose:
         out = compose("v", I1, I2)  # u = alpha_k(r) on both sides: constraint
         assert len(out.constraints) == 1
         assert len(out.vars) == 2
+        # p = 0 and -p = 0 are one equation: recorded in both factors, it
+        # is kept once
+        p = (_t() * _t() - 3).num
+        out2 = compose(
+            "v",
+            replace(I1, constraints=(p,), notes=("p",)),
+            replace(I2, constraints=(-p,), notes=("-p",)),
+        )
+        assert out2.constraints == (p,) + out.constraints
 
     def test_compose_symmetry_with_substitution(self):
         I1 = base_invariants(IntTwist(2), "c1")
