@@ -3,7 +3,8 @@
 Each subtangle carries a triple of trace coordinates (u, u-dot, u-check)
 as exact rational functions in the meridian trace t and one variable per
 twist region.  An InvariantEngine names the i-th twist region it meets
-_v{i}, so two engines running the same expression give the same records.
+r{i}, so two engines running the same expression give the same records,
+and regions are ordered by name alone (_region_key).
 Twist regions get closed forms through Chebyshev-like recursions;
 compositions combine triples through the f/g rules, sharing one
 coordinate; closures turn the shared data into polynomial equations.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .chebyshev import chebyshev
 from .errors import DomainError, StructureError, WrongEngineError
-from .ratfun import FactoredRatFun, MultiPoly, RatFun, clear_denominators, earliest
+from .ratfun import FactoredRatFun, MultiPoly, RatFun, clear_denominators
 from .tangle import (
     ClosureExpr,
     CompH,
@@ -218,56 +219,18 @@ def _local_sig(s: RatFun, own: tuple[str, ...]) -> tuple:
     return (-f.num.total_degree(), str(f.num), str(f.den))
 
 
+def _region_key(name: str) -> tuple[int, str]:
+    """Twist regions in the order an engine names them: r2 before r10."""
+    return (len(name), name)
+
+
 def _keep_first(s1: RatFun, I1: InvariantData, s2: RatFun, I2: InvariantData) -> bool:
     """Canonical representative choice; invariant under swapping factors.
 
-    Ties go to the factor whose earliest variable in the monomial order
-    (ratfun.earliest) comes before the other factor's earliest: the one
-    whose first twist region comes first depth-first (see _unify).
+    Ties go to the factor whose first twist region comes first.
     """
-    k1, k2 = _local_sig(s1, I1.vars), _local_sig(s2, I2.vars)
-    if k1 != k2:
-        return k1 < k2
-    first1 = earliest(I1.vars)
-    return earliest((first1, earliest(I2.vars))) == first1
-
-
-def _unify(
-    direction: str, I1: InvariantData, I2: InvariantData
-) -> tuple[RatFun, InvariantData, InvariantData, tuple[MultiPoly, ...], tuple[str, ...]]:
-    """Identify the shared coordinate of the two factors.
-
-    Eliminates by substitution when a side's shared coordinate is a bare
-    twist-region variable (when both are bare, the one later in the
-    monomial order, see ratfun.earliest, is eliminated; an engine registers
-    _v1.._vn in depth-first order, so that is the later twist region's
-    variable, and the rule is symmetric in the two factors);
-    otherwise records a vanishing constraint and keeps a canonically
-    chosen representative so the result is order-independent.
-    """
-    s1, s2 = _shared(I1, direction), _shared(I2, direction)
-    v1, v2 = _bare_own_var(I1, direction), _bare_own_var(I2, direction)
-    extra: tuple[MultiPoly, ...] = ()
-    notes: tuple[str, ...] = ()
-    if v1 and v2:
-        if earliest((v1, v2)) == v1:
-            I2 = _subst_data(I2, v2, s1)
-            a = s1
-        else:
-            I1 = _subst_data(I1, v1, s2)
-            a = s2
-    elif v2:
-        I2 = _subst_data(I2, v2, s1)
-        a = s1
-    elif v1:
-        I1 = _subst_data(I1, v1, s2)
-        a = s2
-    else:
-        diff = s1 - s2
-        extra = (diff.num,)
-        notes = (f"shared {'u' if direction == 'v' else 'u-dot'} coordinate match",)
-        a = s1 if _keep_first(s1, I1, s2, I2) else s2
-    return a, I1, I2, extra, notes
+    return ((_local_sig(s1, I1.vars), min(map(_region_key, I1.vars)))
+            < (_local_sig(s2, I2.vars), min(map(_region_key, I2.vars))))
 
 
 def _rewrite_check(c: RatFun, own_shared: RatFun, a: RatFun) -> RatFun:
@@ -293,26 +256,60 @@ def _nondegeneracy(a: RatFun) -> tuple[MultiPoly, MultiPoly]:
     return ((a - 2).num, (a + 2 - t * t).num)
 
 
-def _loci(polys: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
-    """Polynomials without repeats up to sign (p = 0 and -p = 0 are one
-    equation, p != 0 and -p != 0 one locus); first occurrences are kept."""
-    return tuple(p for i, p in enumerate(polys) if p not in polys[:i] and -p not in polys[:i])
+def _loci(polys: tuple[MultiPoly, ...]) -> list[int]:
+    """Positions of the polynomials that repeat no earlier one up to sign
+    (p = 0 and -p = 0 are one equation, p != 0 and -p != 0 one locus)."""
+    return [i for i, p in enumerate(polys) if p not in polys[:i] and -p not in polys[:i]]
+
+
+def _glue(
+    direction: str, I1: InvariantData, I2: InvariantData
+) -> tuple[RatFun, InvariantData, InvariantData, tuple[MultiPoly, ...], tuple[str, ...],
+           tuple[MultiPoly, ...]]:
+    """The gluing step of compose and closure_equations.
+
+    Identifies the shared coordinate of the two factors, eliminating by
+    substitution when a side's shared coordinate is a bare twist-region
+    variable (when both are, the later twist region's variable goes);
+    otherwise records a vanishing constraint and keeps a canonically
+    chosen representative, so the result does not depend on the order of
+    the factors.  Returns the representative, the unified factors, the
+    merged constraints with their notes and the merged exclusions with the
+    representative's non-degeneracy loci, each held once up to sign.
+    """
+    if set(I1.vars) & set(I2.vars):
+        raise DomainError("factors share a twist-region variable")
+    s1, s2 = _shared(I1, direction), _shared(I2, direction)
+    v1, v2 = _bare_own_var(I1, direction), _bare_own_var(I2, direction)
+    extra: tuple[MultiPoly, ...] = ()
+    extra_notes: tuple[str, ...] = ()
+    if v2 and not (v1 and _region_key(v1) > _region_key(v2)):
+        a, I2 = s1, _subst_data(I2, v2, s1)
+    elif v1:
+        a, I1 = s2, _subst_data(I1, v1, s2)
+    else:
+        extra = ((s1 - s2).num,)
+        extra_notes = (f"shared {'u' if direction == 'v' else 'u-dot'} coordinate match",)
+        a = s1 if _keep_first(s1, I1, s2, I2) else s2
+    constraints = I1.constraints + I2.constraints + extra
+    notes = I1.notes + I2.notes + extra_notes
+    exclusions = I1.exclusions + I2.exclusions + _nondegeneracy(a)
+    kept, loci = _loci(constraints), _loci(exclusions)
+    return (a, I1, I2, tuple(constraints[i] for i in kept), tuple(notes[i] for i in kept),
+            tuple(exclusions[i] for i in loci))
 
 
 def compose(direction: str, I1: InvariantData, I2: InvariantData) -> InvariantData:
     """Combine two factor records across *v (shared u) or *h (shared u-dot)."""
     if direction not in ("v", "h"):
         raise DomainError("direction must be 'v' or 'h'")
-    if set(I1.vars) & set(I2.vars):
-        raise DomainError("factors share a twist-region variable")
-    a, J1, J2, extra, extra_notes = _unify(direction, I1, I2)
+    a, J1, J2, constraints, notes, exclusions = _glue(direction, I1, I2)
     if direction == "v":
         b1, b2 = J1.udot, J2.udot
     else:
         b1, b2 = J1.u, J2.u
     c1 = _rewrite_check(J1.ucheck, _shared(J1, direction), a)
     c2 = _rewrite_check(J2.ucheck, _shared(J2, direction), a)
-    exclusions = _loci(J1.exclusions + J2.exclusions + _nondegeneracy(a))
     # u-check, and u-dot after *v, are computed with denominators kept over
     # the exclusions and cancelled by them; u after *h stays as the plain
     # rules give it, because _keep_first ranks it by its representation
@@ -324,15 +321,7 @@ def compose(direction: str, I1: InvariantData, I2: InvariantData) -> InvariantDa
         u, udot = a, _f(*args).to_ratfun()
     else:
         u, udot = _f(a, b1, c1, b2, c2, t2), a
-    return InvariantData(
-        J1.vars + J2.vars,
-        u,
-        udot,
-        g,
-        _loci(J1.constraints + J2.constraints + extra),
-        exclusions,
-        J1.notes + J2.notes + extra_notes,
-    )
+    return InvariantData(J1.vars + J2.vars, u, udot, g, constraints, exclusions, notes)
 
 
 def recover_grave_acute(I: InvariantData) -> tuple[RatFun, RatFun]:
@@ -352,7 +341,7 @@ class InvariantEngine:
     """DFS evaluator; keeps every produced record for audit.
 
     The engine is the naming scope of its twist regions: the i-th twist
-    atom it runs, counted over all its runs, gets the variable _v{i}.
+    atom it runs, counted over all its runs, gets the variable r{i}.
     """
 
     def __init__(self) -> None:
@@ -363,7 +352,7 @@ class InvariantEngine:
         if isinstance(expr, Rational):
             return self.run(expand_rational(expr.ks))
         if isinstance(expr, (IntTwist, VertTwist)):
-            data = base_invariants(expr, f"_v{len(self.atom_vars) + 1}")
+            data = base_invariants(expr, f"r{len(self.atom_vars) + 1}")
             self.atom_vars.append(data.vars[0])
         elif isinstance(expr, (CompV, CompH)):
             d = "v" if isinstance(expr, CompV) else "h"
@@ -376,7 +365,8 @@ class InvariantEngine:
 
 def _region_names(names: tuple[str, ...]) -> dict[str, str]:
     """The relabel map from twist-region variables, in depth-first order,
-    onto r1..rn; the first relabel by it registers r1..rn in that order."""
+    onto r1..rn: the identity unless a twist region was eliminated or the
+    engine ran an earlier tangle."""
     return dict(zip(names, (f"r{i}" for i in range(1, len(names) + 1))))
 
 
@@ -423,9 +413,9 @@ def closure_equations(c: ClosureExpr, engine: InvariantEngine | None = None) -> 
     direction = "v" if c.kind == "D" else "h"
     eng = engine if engine is not None else InvariantEngine()
     first_atom = len(eng.atom_vars)
-    I1 = eng.run(body.left)
-    I2 = eng.run(body.right)
-    a, J1, J2, extra, extra_notes = _unify(direction, I1, I2)
+    _, J1, J2, constraints, notes, exclusions = _glue(
+        direction, eng.run(body.left), eng.run(body.right)
+    )
 
     if direction == "v":
         diff = J1.udot - J2.udot
@@ -435,9 +425,7 @@ def closure_equations(c: ClosureExpr, engine: InvariantEngine | None = None) -> 
         diff_note = "closure: u coordinates match"
     total = J1.ucheck + J2.ucheck
 
-    exclusions = _loci(J1.exclusions + J2.exclusions + _nondegeneracy(a))
-    equations = list(J1.constraints + J2.constraints + extra)
-    notes = list(J1.notes + J2.notes + extra_notes)
+    equations, notes = list(constraints), list(notes)
     for val, note in ((diff, diff_note), (total, "closure: u-checks cancel")):
         num, exclusions = clear_denominators(val, exclusions)
         equations.append(num)

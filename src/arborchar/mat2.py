@@ -351,7 +351,7 @@ def _sqrt(x: Number) -> complex:
     return cmath.sqrt(complex(x))
 
 
-def _kappa_of_trace(t: Number) -> complex:
+def kappa_of_trace(t: Number) -> complex:
     """One eigenvalue kappa with kappa + 1/kappa = t."""
     t = complex(t)
     return (t + _sqrt(t * t - 4)) / 2
@@ -374,12 +374,9 @@ def is_reducible(a1: Mat2, a2: Mat2, tol: float = TOL) -> bool:
 
 def has_common_eigenvector(a1: Mat2, a2: Mat2, tol: float = TOL) -> bool:
     """Direct eigenvector search; the oracle's independent reducibility test."""
-    m1 = a1.to_complex()
-    for v in _eigenvectors(m1, tol):
-        w_ = (
-            a2.to_complex().a11 * v[0] + a2.to_complex().a12 * v[1],
-            a2.to_complex().a21 * v[0] + a2.to_complex().a22 * v[1],
-        )
+    m2 = a2.to_complex()
+    for v in _eigenvectors(a1.to_complex(), tol):
+        w_ = (m2.a11 * v[0] + m2.a12 * v[1], m2.a21 * v[0] + m2.a22 * v[1])
         cross = w_[0] * v[1] - w_[1] * v[0]
         if abs(cross) <= tol * max(1.0, abs(w_[0]) + abs(w_[1])):
             return True
@@ -445,8 +442,7 @@ def _decompose_single_diag(
             raise GenericityError(f"excluded diagonal product: {label}")
     mu = a2.a12 * (lam + 1)
     rebuilt = (h1(t, lam, -lam * mu), h1(t, lam, mu))
-    if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
-        raise ClassificationError("h-parametrization failed to rebuild the pair")
+    _check_rebuilt(rebuilt, a1, a2, tol, "h-parametrization failed to rebuild the pair")
     return DecompositionReport("single", "a", {"lam": lam, "mu": mu}, False, rebuilt)
 
 
@@ -454,8 +450,7 @@ def _decompose_single_p(a1: Mat2, a2: Mat2, t: Number, tol: float) -> Decomposit
     kappa = a2.a11
     xi = a1.a12
     rebuilt = (u_plus(_inv(kappa), xi), u_plus(kappa, kappa - xi))
-    if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
-        raise ClassificationError("u+ parametrization failed to rebuild the pair")
+    _check_rebuilt(rebuilt, a1, a2, tol, "u+ parametrization failed to rebuild the pair")
     return DecompositionReport("single", "b", {"kappa": kappa, "xi": xi}, False, rebuilt)
 
 
@@ -468,8 +463,7 @@ def _decompose_minus_p(
             raise GenericityError("-p decomposition needs t != 0")
         alpha = a1.a11 - _half(t1)
         rebuilt = (k1(t1, alpha), k1(t1, alpha - t1))
-        if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
-            raise ClassificationError("k-parametrization failed to rebuild the pair")
+        _check_rebuilt(rebuilt, a1, a2, tol, "k-parametrization failed to rebuild the pair")
         rep = DecompositionReport("single", "c", {"alpha": alpha}, flipped, rebuilt)
         return rep
     if _near(t1 + t2, 0, tol):
@@ -477,15 +471,13 @@ def _decompose_minus_p(
         eps_base = a2.a11
         xi = a2.a12 - eps_base
         rebuilt = (u_plus(-_inv(eps_base), xi), u_plus(eps_base, xi + eps_base))
-        if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
-            raise ClassificationError("u+ parametrization failed (two-trace -p)")
+        _check_rebuilt(rebuilt, a1, a2, tol, "u+ parametrization failed (two-trace -p)")
         return DecompositionReport(
             "two_trace", "c", {"kappa2_eps": eps_base, "xi": xi}, flipped, rebuilt
         )
     alpha = a2.a11 - _half(t2)
     rebuilt = (k2(t1, t2, alpha + _half(t1 + t2)), k2(t2, t1, alpha))
-    if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
-        raise ClassificationError("k-parametrization failed (two-trace -p)")
+    _check_rebuilt(rebuilt, a1, a2, tol, "k-parametrization failed (two-trace -p)")
     return DecompositionReport("two_trace", "d", {"alpha": alpha}, flipped, rebuilt)
 
 
@@ -494,8 +486,8 @@ def _decompose_two_diag(
 ) -> DecompositionReport:
     if _near(lam, 1, tol) or _near(lam, -1, tol):
         raise GenericityError("excluded diagonal product: lam = +-1")
-    kap1 = _kappa_of_trace(t1)
-    kap2 = _kappa_of_trace(t2)
+    kap1 = kappa_of_trace(t1)
+    kap2 = kappa_of_trace(t2)
     for e1 in (1, -1):
         for e2 in (1, -1):
             if abs(complex(lam) - kap1**e1 * kap2**e2) <= _loose(tol):
@@ -504,8 +496,7 @@ def _decompose_two_diag(
                 )
     mu = a2.a12 * (lam - _inv(lam))
     rebuilt = (h2(t1, t2, lam, -lam * mu), h2(t2, t1, lam, mu))
-    if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
-        raise ClassificationError("two-trace h-parametrization failed to rebuild")
+    _check_rebuilt(rebuilt, a1, a2, tol, "two-trace h-parametrization failed to rebuild")
     return DecompositionReport("two_trace", "a", {"lam": lam, "mu": mu}, False, rebuilt)
 
 
@@ -520,8 +511,7 @@ def _decompose_two_diag_uform(
         alpha = complex(a2.a21) / k2e
         rebuilt = (u_minus(k1e, -alpha / k1e), u_minus(k2e, k2e * alpha))
         form = "u_minus"
-    if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
-        raise ClassificationError("triangular parametrization failed to rebuild")
+    _check_rebuilt(rebuilt, a1, a2, tol, "triangular parametrization failed to rebuild")
     return DecompositionReport(
         "two_trace",
         "b",
@@ -529,6 +519,14 @@ def _decompose_two_diag_uform(
         False,
         rebuilt,
     )
+
+
+def _check_rebuilt(
+    rebuilt: tuple[Mat2, Mat2], a1: Mat2, a2: Mat2, tol: float, failure: str
+) -> None:
+    """Raise ClassificationError(failure) unless rebuilt reproduces (a1, a2)."""
+    if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
+        raise ClassificationError(failure)
 
 
 def _loose(tol: float) -> float:

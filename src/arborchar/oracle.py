@@ -36,6 +36,7 @@ from .mat2 import (
     delta_two_trace,
     has_common_eigenvector,
     is_reducible,
+    kappa_of_trace,
     special,
 )
 from .tangle import (
@@ -328,12 +329,15 @@ def _generic_param(rng: random.Random, t: complex) -> complex:
             return r
 
 
+#: most secant steps one root search takes
+_SECANT_STEPS = 60
+
 # secant steps without a new smallest |fn| after which the iteration has
 # stalled or wandered off; a converging secant improves at every step
 _SECANT_PATIENCE = 8
 
 
-def _secant(fn, s0: complex, s1: complex, tol: float = 1e-11, maxit: int = 60) -> complex:
+def _secant(fn, s0: complex, s1: complex, tol: float = 1e-11) -> complex:
     """Root of fn from two starting points.
 
     Returns the first iterate with |fn| < tol.  When the iteration runs out
@@ -346,7 +350,7 @@ def _secant(fn, s0: complex, s1: complex, tol: float = 1e-11, maxit: int = 60) -
     f1 = fn(s1)
     best, best_f = (s0, abs(f0)) if abs(f0) < abs(f1) else (s1, abs(f1))
     stale = 0
-    for _ in range(maxit):
+    for _ in range(_SECANT_STEPS):
         if abs(f1) < tol:
             return s1
         if abs(f1 - f0) < 1e-15 or stale >= _SECANT_PATIENCE:
@@ -691,7 +695,7 @@ def _suite_key(rng: random.Random) -> float:
     a1, a2 = sample_with_product(special("d", lam), t, t, rng)
     res = max(res, _pair_error(a1, a2, decompose_pair(a1, a2, t, t)))
     # (b) product +p
-    kap = _kappa(t)
+    kap = kappa_of_trace(t)
     xi = _crand(rng)
     b1, b2 = special("u_plus", 1 / kap, xi), special("u_plus", kap, kap - xi)
     res = max(res, (b1 @ b2 - special("p")).norm())
@@ -704,17 +708,13 @@ def _suite_key(rng: random.Random) -> float:
     return _rel(res, 10.0)
 
 
-def _kappa(t: complex) -> complex:
-    return (t + cmath.sqrt(t * t - 4)) / 2
-
-
 def _suite_key2(rng: random.Random) -> float:
     t1 = sample_t(rng)
     t2 = sample_t(rng)
     if abs(t1 - t2) < 0.2 or abs(t1 + t2) < 0.2:
         t2 = t2 + 0.5
     res = 0.0
-    kap1, kap2 = _kappa(t1), _kappa(t2)
+    kap1, kap2 = kappa_of_trace(t1), kappa_of_trace(t2)
     # (a) product d(lam), generic lam
     while True:
         lam = _sample_lam(rng, t1)
@@ -758,8 +758,8 @@ def _suite_reducible(rng: random.Random) -> float:
     elif mode == 1:
         # shared eigenvector: conjugated upper-triangular pair
         c = sample_in_Gt(sample_t(rng), rng)
-        a1 = c @ special("u_plus", _kappa(t1), _crand(rng)) @ c.inv()
-        a2 = c @ special("u_plus", _kappa(t2), _crand(rng)) @ c.inv()
+        a1 = c @ special("u_plus", kappa_of_trace(t1), _crand(rng)) @ c.inv()
+        a2 = c @ special("u_plus", kappa_of_trace(t2), _crand(rng)) @ c.inv()
     else:
         # single-trace pair on the reducibility locus tr(xy) in {2, t^2-2}
         t2 = t1

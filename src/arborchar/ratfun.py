@@ -23,9 +23,9 @@ integer through its arithmetic.
 
 This module is the only one that maps variable names to exponent
 positions.  Other modules work by name: ``relabel`` takes a
-``{old_name: new_name}`` map, ``earliest`` says which of some variables
-comes first in the monomial order, ``RatFun.substitute`` names the
-variable it replaces, and ``MultiPoly.named_terms`` lists terms by name.
+``{old_name: new_name}`` map, ``RatFun.substitute``, ``degree_in`` and
+``coeffs_in`` name their variable, and ``variables`` and
+``MultiPoly.named_terms`` report names.
 
 Fractions of polynomials are reduced only by integer content, common
 monomial factors, and exact trial division by explicitly supplied factor
@@ -85,11 +85,6 @@ class VarRegistry:
 #: a process computes before its first emit.
 REGISTRY = VarRegistry()
 REGISTRY.add("t")
-
-
-def earliest(names: Iterable[str]) -> str:
-    """The variable among names that comes first in the monomial order."""
-    return min(names, key=REGISTRY.index)
 
 
 def _canon(c) -> Scalar:
@@ -229,17 +224,16 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max(map(sum, self.terms), default=0)
 
-    def degree_in(self, var_index: int) -> int:
-        return max(
-            (e[var_index] if var_index < len(e) else 0 for e in self.terms),
-            default=0,
-        )
+    def degree_in(self, var: str) -> int:
+        i = REGISTRY.index(var)
+        return max((e[i] if i < len(e) else 0 for e in self.terms), default=0)
 
-    def variables(self) -> set[int]:
-        used: set[int] = set()
-        for e in self.terms:
-            used.update(i for i, p in enumerate(e) if p)
-        return used
+    def _positions(self) -> set[int]:
+        """The exponent positions some term uses."""
+        return {i for e in self.terms for i, p in enumerate(e) if p}
+
+    def variables(self) -> set[str]:
+        return set(map(REGISTRY.name, self._positions()))
 
     def _width(self) -> int:
         return max(map(len, self.terms), default=0)
@@ -431,18 +425,23 @@ class MultiPoly:
 
     # -- substitution and evaluation ----------------------------------------
 
-    def coeffs_in(self, var_index: int) -> dict[int, "MultiPoly"]:
+    def coeffs_in(self, var: str) -> dict[int, "MultiPoly"]:
         """Split into coefficients of powers of one variable."""
+        i = REGISTRY.index(var)
         out: dict[int, dict[tuple[int, ...], Scalar]] = {}
         for e, c in self.terms.items():
-            p = e[var_index] if var_index < len(e) else 0
-            rest = list(_pad(e, var_index + 1))
-            rest[var_index] = 0
+            p = e[i] if i < len(e) else 0
+            rest = list(_pad(e, i + 1))
+            rest[i] = 0
             out.setdefault(p, {})[_trim(tuple(rest))] = c
         return {p: MultiPoly(t) for p, t in out.items()}
 
     def subs_poly(self, var_index: int, value: "MultiPoly") -> "MultiPoly":
-        parts = self.coeffs_in(var_index)
+        """Substitute value for the variable at registry index var_index.
+
+        The last public method that takes a registry index rather than a
+        name; it stays while callers outside the package hold indices."""
+        parts = self.coeffs_in(REGISTRY.name(var_index))
         result = MultiPoly.zero()
         for p, coef in parts.items():
             result = result + coef * value**p
@@ -565,7 +564,7 @@ class MultiPoly:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        used = sorted(self.variables())
+        used = sorted(self._positions())
         names = [REGISTRY.name(i) for i in used]
         pos = {i: k for k, i in enumerate(used)}
         terms = []
@@ -587,6 +586,10 @@ class MultiPoly:
                 exp[idx[k]] = p
             terms[_trim(tuple(exp))] = Fraction(t["coef"])
         return MultiPoly(terms)
+
+
+#: ``RatFun.eval_numeric`` refuses a denominator of smaller magnitude.
+_MIN_DEN = 1e-6
 
 
 class RatFun:
@@ -671,7 +674,7 @@ class RatFun:
             return None
         return REGISTRY.name(exp.index(1))
 
-    def variables(self) -> set[int]:
+    def variables(self) -> set[str]:
         return self.num.variables() | self.den.variables()
 
     # -- arithmetic -------------------------------------------------------------
@@ -727,13 +730,10 @@ class RatFun:
         return (self.num * o.den - o.num * self.den).is_zero()
 
     def substitute(self, var: str, value: "RatFun") -> "RatFun":
-        if var not in REGISTRY:
-            raise DomainError(f"unregistered variable {var!r}")
-        i = REGISTRY.index(var)
-        if i not in self.variables():
+        if var not in self.variables():
             return self
-        n = _poly_subs_ratfun(self.num, i, value)
-        d = _poly_subs_ratfun(self.den, i, value)
+        n = _poly_subs_ratfun(self.num, var, value)
+        d = _poly_subs_ratfun(self.den, var, value)
         if d.is_zero():
             raise ZeroDivisionError(
                 "substitution produced an identically-zero denominator"
@@ -744,13 +744,11 @@ class RatFun:
         """Simultaneous variable relabel by name (see MultiPoly.relabel)."""
         return RatFun(self.num.relabel(names), self.den.relabel(names))
 
-    def eval_numeric(
-        self, point: Mapping[str, complex], min_den: float = 1e-6
-    ) -> complex:
+    def eval_numeric(self, point: Mapping[str, complex]) -> complex:
         dv = complex(self.den.eval(point))
-        if abs(dv) < min_den:
+        if abs(dv) < _MIN_DEN:
             raise ConditioningError(
-                f"denominator magnitude {abs(dv):.3g} below {min_den:g}"
+                f"denominator magnitude {abs(dv):.3g} below {_MIN_DEN:g}"
             )
         return complex(self.num.eval(point)) / dv
 
@@ -897,8 +895,8 @@ class FactoredRatFun:
         return RatFun(num, den)
 
 
-def _poly_subs_ratfun(p: MultiPoly, var_index: int, value: RatFun) -> RatFun:
-    parts = p.coeffs_in(var_index)
+def _poly_subs_ratfun(p: MultiPoly, var: str, value: RatFun) -> RatFun:
+    parts = p.coeffs_in(var)
     if not parts:
         return RatFun(0)
     top = max(parts)
@@ -930,17 +928,14 @@ def pseudo_reduce(p: MultiPoly, c: MultiPoly, var: str) -> MultiPoly:
     When the leading coefficient of c in var is a nonzero constant this is
     an exact reduction, so a zero result certifies ideal membership.
     """
-    i = REGISTRY.index(var)
-    dc = c.degree_in(i)
+    dc = c.degree_in(var)
     if dc == 0:
         raise DomainError(f"constraint has no {var!r} dependence")
-    c_parts = c.coeffs_in(i)
-    lc = c_parts[dc]
+    lc = c.coeffs_in(var)[dc]
+    x = MultiPoly.var(var)
     while True:
-        dp = p.degree_in(i)
+        dp = p.degree_in(var)
         if dp < dc:
             return p
-        p_parts = p.coeffs_in(i)
-        lp = p_parts[dp]
-        shift = MultiPoly({(0,) * i + (dp - dc,): 1})
-        p = lc * p - lp * shift * c
+        lp = p.coeffs_in(var)[dp]
+        p = lc * p - lp * x ** (dp - dc) * c

@@ -22,7 +22,7 @@ from arborchar.invariants import (
     tangle_invariants,
 )
 from arborchar.oracle import run_suite
-from arborchar.ratfun import MultiPoly, RatFun, REGISTRY, pseudo_reduce
+from arborchar.ratfun import MultiPoly, RatFun, pseudo_reduce
 from arborchar.tangle import (
     ClosureExpr,
     CompH,
@@ -513,10 +513,9 @@ def _swap_at(expr, path):
 
 
 def _var_fingerprint(pres, name: str):
-    idx = REGISTRY.index(name)
     rows = []
     for eq in pres.equations:
-        rows.append((eq.degree_in(idx), eq.total_degree(), len(eq.terms)))
+        rows.append((eq.degree_in(name), eq.total_degree(), len(eq.terms)))
     return tuple(sorted(rows))
 
 
@@ -584,12 +583,15 @@ def _constraint_point(data, rng: random.Random):
     point = {"t": complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1)) + 1.4}
     for v in data.vars:
         point[v] = complex(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
-    cons = sorted(data.constraints, key=lambda c: max(c.variables()))
+    # each constraint is solved for its variable latest in data.vars, in
+    # the order of that variable (t first)
+    order = {"t": 0, **{v: i for i, v in enumerate(data.vars, 1)}}
+    cons = sorted(data.constraints, key=lambda c: max(map(order.__getitem__, c.variables())))
     for c in cons:
-        solvable = [i for i in c.variables() if REGISTRY.name(i) in data.vars]
+        solvable = [v for v in c.variables() if v in data.vars]
         if not solvable:
             return None
-        top = max(solvable)
+        top = max(solvable, key=order.__getitem__)
         parts = c.coeffs_in(top)
         deg = max(parts)
         if deg == 0:
@@ -597,8 +599,7 @@ def _constraint_point(data, rng: random.Random):
         coeffs = []
         for k in range(deg, -1, -1):
             if k in parts:
-                need = {REGISTRY.name(i): point[REGISTRY.name(i)]
-                        for i in parts[k].variables()}
+                need = {v: point[v] for v in parts[k].variables()}
                 coeffs.append(complex(parts[k].eval(need)))
             else:
                 coeffs.append(0.0 + 0.0j)
@@ -614,7 +615,7 @@ def _constraint_point(data, rng: random.Random):
             if abs(dv) < 1e-12:
                 break
             root -= fv / dv
-        point[REGISTRY.name(top)] = complex(root)
+        point[top] = complex(root)
     # verify all constraints vanish to near machine precision, relative to
     # the monomial mass at the point
     for c in data.constraints:

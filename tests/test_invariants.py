@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,9 @@ from arborchar import invariants
 from arborchar.errors import DomainError, StructureError, WrongEngineError
 from arborchar.invariants import (
     InvariantEngine,
+    _glue,
     _rewrite_check,
     _shared,
-    _unify,
     alpha,
     base_invariants,
     closure_equations,
@@ -108,6 +109,16 @@ class TestCompose:
         assert out.constraints == ()
         assert len(out.vars) == 1
 
+    def test_bare_tie_goes_by_region_name_not_registration(self):
+        # both u-coordinates bare: the later twist region's variable goes,
+        # q10 after q2 by name, although q10 is registered first; in either
+        # operand order
+        I10 = base_invariants(VertTwist(3), "q10")
+        I2 = base_invariants(VertTwist(2), "q2")
+        for out in (compose("v", I2, I10), compose("v", I10, I2)):
+            assert out.vars == ("q2",)
+            assert out.u.equals(RatFun.var("q2"))
+
     def test_compose_constraint_when_not_bare(self):
         I1 = base_invariants(IntTwist(2), "c1")
         I2 = base_invariants(IntTwist(3), "c2")
@@ -152,7 +163,7 @@ class TestCompose:
             compose("x", base_invariants(IntTwist(2), "c1"), base_invariants(IntTwist(3), "c2"))
 
     def test_shared_variable_rejected(self):
-        # records of two engines both name their first twist region _v1;
+        # records of two engines both name their first twist region r1;
         # composing them would identify two different twist regions
         I1 = InvariantEngine().run(parse("[2] *v [3]"))
         I2 = InvariantEngine().run(parse("[1/3]"))
@@ -187,7 +198,7 @@ class TestCompose:
         walk(body.right)
         assert next(records, None) is None and steps
         for d, I1, I2, out in steps:
-            a, J1, J2, _, _ = _unify(d, I1, I2)
+            a, J1, J2, *_ = _glue(d, I1, I2)
             c1 = _rewrite_check(J1.ucheck, _shared(J1, d), a)
             c2 = _rewrite_check(J2.ucheck, _shared(J2, d), a)
             b1, b2 = (J1.udot, J2.udot) if d == "v" else (J1.u, J2.u)
@@ -228,7 +239,7 @@ class TestEngine:
     def test_engines_name_alike(self, expr):
         a, b = InvariantEngine(), InvariantEngine()
         ra, rb = a.run(parse(expr)), b.run(parse(expr))
-        assert a.atom_vars == b.atom_vars == [f"_v{i}" for i in range(1, len(a.atom_vars) + 1)]
+        assert a.atom_vars == b.atom_vars == [f"r{i}" for i in range(1, len(a.atom_vars) + 1)]
         assert ra.vars == rb.vars
         assert ra.u.equals(rb.u) and ra.udot.equals(rb.udot) and ra.ucheck.equals(rb.ucheck)
 
@@ -241,6 +252,39 @@ def _sign_repeats(polys) -> list[tuple[int, int]]:
     """Index pairs (i, j), j < i, with polys[i] equal to +-polys[j]."""
     return [(i, j) for i, p in enumerate(polys) for j, q in enumerate(polys[:i])
             if p == q or p == -q]
+
+
+def _fresh_emits(setup: str) -> list[dict]:
+    """The payloads of SMALL_KNOTS, emitted in one fresh interpreter after
+    it runs the code setup."""
+    code = (
+        "import json, sys\n"
+        "from arborchar.invariants import closure_equations\n"
+        "from arborchar.tangle import parse\n"
+        + setup
+        + "for expr in json.loads(sys.argv[1]):\n"
+        "    print(json.dumps(closure_equations(parse(expr)).to_json()))\n"
+    )
+    exprs = [golden.KNOTS[name][0] for name in SMALL_KNOTS]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(exprs)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return [json.loads(line) for line in res.stdout.splitlines()]
+
+
+def _up_to_sign(payload: dict) -> dict:
+    """payload with each polynomial replaced by the pair of its term sets
+    under both signs, so neither sign nor term order counts."""
+    def poly(p: dict) -> frozenset:
+        terms = frozenset(
+            (frozenset((v, e) for v, e in zip(p["vars"], t["exp"]) if e), Fraction(t["coef"]))
+            for t in p["terms"]
+        )
+        return frozenset((terms, frozenset((m, -c) for m, c in terms)))
+
+    return {**payload, "equations": [poly(p) for p in payload["equations"]],
+            "exclusions": [poly(p) for p in payload["exclusions"]]}
 
 
 class TestClosure:
@@ -320,29 +364,27 @@ class TestClosure:
         assert len(eng.atom_vars) == 5
 
     def test_output_does_not_depend_on_earlier_link_presentation(self):
-        # a fresh interpreter, so that the link presentation is the first to
-        # register variables (r1..r4, before any knot's t); the emits follow
-        # in the same process
-        code = (
-            "import json, sys\n"
-            "from arborchar.invariants import closure_equations\n"
-            "from arborchar.links import pretzel3333_presentation\n"
-            "from arborchar.tangle import parse\n"
-            "pretzel3333_presentation()\n"
-            "for expr in json.loads(sys.argv[1]):\n"
-            "    print(json.dumps(closure_equations(parse(expr)).to_json()))\n"
-        )
-        exprs = [golden.KNOTS[name][0] for name in SMALL_KNOTS]
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        res = subprocess.run([sys.executable, "-c", code, json.dumps(exprs)],
-                             capture_output=True, text=True, env=env, timeout=120)
-        assert res.returncode == 0, res.stderr
-        for name, line in zip(SMALL_KNOTS, res.stdout.splitlines(), strict=True):
-            assert json.loads(line) == golden.stored(name), name
+        # the link presentation is the first to register the names r1..r4;
+        # the emits follow in the same process
+        setup = "from arborchar.links import pretzel3333_presentation\npretzel3333_presentation()\n"
+        for name, payload in zip(SMALL_KNOTS, _fresh_emits(setup), strict=True):
+            assert payload == golden.stored(name), name
+
+    @pytest.mark.parametrize("names", [("_v3", "_v2", "_v1"), ("r3", "r2", "r1")],
+                             ids=["v-names", "r-names"])
+    def test_output_does_not_depend_on_registration_order(self, names):
+        # names registered in reverse before any emit reverse their place in
+        # the monomial order, which may flip an equation's sign and reorder
+        # its terms; the twist regions are named, ordered and glued by name
+        # alone, so nothing else changes
+        setup = "from arborchar.ratfun import MultiPoly\n" + "".join(
+            f"MultiPoly.var({n!r})\n" for n in names)
+        for name, payload in zip(SMALL_KNOTS, _fresh_emits(setup), strict=True):
+            assert _up_to_sign(payload) == _up_to_sign(golden.stored(name)), name
 
     def test_repeated_emits_register_no_names(self):
         # a fresh interpreter emits the knots twice; every engine names its
-        # twist regions _v1, _v2, ..., so the second pass adds nothing to
+        # twist regions r1, r2, ..., so the second pass adds nothing to
         # the variable registry, and both passes give the stored payloads
         code = (
             "import json, sys\n"
@@ -385,10 +427,7 @@ class TestClosure:
         tval = 1.3 + 0.2j
         eq0 = pres.equations[0]
         # roots of the first equation in r1 at fixed t
-        from arborchar.ratfun import REGISTRY
-
-        idx = REGISTRY.index("r1")
-        parts = eq0.coeffs_in(idx)
+        parts = eq0.coeffs_in("r1")
         deg = max(parts)
         coeffs = [complex(parts.get(k, 0 * eq0).eval({"t": tval})) if parts.get(k) is not None else 0 for k in range(deg, -1, -1)]
         roots = np.roots(coeffs)
