@@ -18,6 +18,7 @@ from .chebyshev import chebyshev
 from .errors import DomainError, StructureError, WrongEngineError
 from .ratfun import FactoredRatFun, MultiPoly, RatFun, clear_denominators
 from .tangle import (
+    MAX_TWIST,
     ClosureExpr,
     CompH,
     CompV,
@@ -145,6 +146,8 @@ def base_invariants(atom: TangleExpr, var_name: str) -> InvariantData:
         raise DomainError("base_invariants expects a twist atom")
     if atom.k == 0:
         raise DomainError("twist parameter must be nonzero")
+    if abs(atom.k) > MAX_TWIST:
+        raise DomainError(f"twist region with more than {MAX_TWIST} crossings")
     r = RatFun.var(var_name)
     rp = r.as_poly()
     t = MultiPoly.var("t")

@@ -33,6 +33,16 @@ candidates; there is no general multivariate GCD.  One routine,
 ``FactoredRatFun._factor``, does that trial division of a denominator
 over a list of known factors, for ``FactoredRatFun`` and for
 ``clear_denominators`` alike.
+
+A ``RatFun`` whose denominator is 1 holds the module's one-polynomial
+``_ONE`` as its denominator, so ``den is _ONE`` tells such a fraction in
+O(1).  Its numerator has int coefficients, as every normalised numerator
+does, and for such a fraction the monomial and content passes change
+nothing.  So a polynomial with int coefficients over 1 is stored as it
+comes, and ``+``, ``-`` and ``*`` on two polynomials, and substitution of
+a polynomial, combine numerators only.  Most fractions the engine builds
+for small knots are such polynomials.  No polynomial is changed in place,
+so all of them can share ``_ONE``.
 """
 
 from __future__ import annotations
@@ -85,6 +95,10 @@ class VarRegistry:
 #: a process computes before its first emit.
 REGISTRY = VarRegistry()
 REGISTRY.add("t")
+
+
+#: The keys of a constant polynomial's terms are a subset of this set.
+_CONST_KEYS = frozenset({()})
 
 
 def _canon(c) -> Scalar:
@@ -212,7 +226,8 @@ class MultiPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        # exponents are trimmed, so a constant term's exponent is ()
+        return self.terms.keys() <= _CONST_KEYS
 
     def const_value(self) -> Scalar:
         if not self.terms:
@@ -261,6 +276,13 @@ class MultiPoly:
 
     @staticmethod
     def _coerce(other: Coercible) -> "MultiPoly":
+        if type(other) is MultiPoly:
+            return other
+        if type(other) is int:
+            # an int is already canonical, and () is already trimmed
+            p = MultiPoly.__new__(MultiPoly)
+            p.terms = {(): other} if other else {}
+            return p
         if isinstance(other, MultiPoly):
             return other
         if isinstance(other, (int, Fraction)):
@@ -588,6 +610,11 @@ class MultiPoly:
         return MultiPoly(terms)
 
 
+#: The denominator of every ``RatFun`` whose denominator is 1, so ``den is
+#: _ONE`` tests for one in O(1).  Like every polynomial it is never changed
+#: in place.
+_ONE = MultiPoly.const(1)
+
 #: ``RatFun.eval_numeric`` refuses a denominator of smaller magnitude.
 _MIN_DEN = 1e-6
 
@@ -604,11 +631,18 @@ class RatFun:
     def __init__(self, num: Coercible, den: Coercible = 1):
         n = MultiPoly._coerce(num)
         d = MultiPoly._coerce(den)
+        if d.terms == _ONE.terms and all(type(c) is int for c in n.terms.values()):
+            # both passes below are the identity here: den's only exponent
+            # is (), so no monomial is shared, and num's content is an int,
+            # so the scale s is 1
+            self.num = n
+            self.den = _ONE
+            return
         if d.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if n.is_zero():
             self.num = MultiPoly.zero()
-            self.den = MultiPoly.const(1)
+            self.den = _ONE
             return
         # common monomial factor: exponents are trimmed, so a variable past
         # the end of any exponent tuple has exponent 0 there
@@ -629,12 +663,25 @@ class RatFun:
             n = n._divscalar(s)
             d = d._divscalar(s)
         self.num = n
-        self.den = d
+        self.den = _ONE if d.terms == _ONE.terms else d
+
+    @staticmethod
+    def _polynomial(num: MultiPoly) -> "RatFun":
+        """num over _ONE, for a num with int coefficients: what __init__
+        returns for it, without the call."""
+        r = RatFun.__new__(RatFun)
+        r.num = num
+        r.den = _ONE
+        return r
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def _coerce(other: "RatFun | Coercible") -> "RatFun":
+        if type(other) is RatFun:
+            return other
+        if type(other) is int:
+            return RatFun._polynomial(MultiPoly._coerce(other))
         if isinstance(other, RatFun):
             return other
         if isinstance(other, (MultiPoly, int, Fraction)):
@@ -658,6 +705,8 @@ class RatFun:
         return self.den.is_const()
 
     def as_poly(self) -> MultiPoly:
+        if self.den is _ONE:
+            return self.num
         if not self.is_poly():
             raise DomainError("rational function is not polynomial")
         return self.num.divexact(self.den)  # type: ignore[return-value]
@@ -683,11 +732,15 @@ class RatFun:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return RatFun._polynomial(self.num + o.num)
         return RatFun(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.den is _ONE:
+            return RatFun._polynomial(-self.num)
         return RatFun(-self.num, self.den)
 
     def __sub__(self, other):
@@ -703,6 +756,8 @@ class RatFun:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return RatFun._polynomial(self.num * o.num)
         return RatFun(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -733,6 +788,9 @@ class RatFun:
         if var not in self.variables():
             return self
         n = _poly_subs_ratfun(self.num, var, value)
+        if self.den is _ONE:
+            # n / 1 renormalises the normalised n, which changes nothing
+            return n
         d = _poly_subs_ratfun(self.den, var, value)
         if d.is_zero():
             raise ZeroDivisionError(
@@ -900,6 +958,13 @@ def _poly_subs_ratfun(p: MultiPoly, var: str, value: RatFun) -> RatFun:
     if not parts:
         return RatFun(0)
     top = max(parts)
+    if value.den is _ONE:
+        # Horner over MultiPoly: every step of the RatFun Horner below would
+        # combine integer numerators only
+        v, poly = value.num, parts[top]
+        for k in range(top - 1, -1, -1):
+            poly = poly * v + parts.get(k, 0)
+        return RatFun(poly)
     # Horner in the substituted value
     result = RatFun(parts.get(top, MultiPoly.zero()))
     for k in range(top - 1, -1, -1):

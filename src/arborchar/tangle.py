@@ -84,6 +84,13 @@ class ClosureExpr:
 #: level, so this keeps every stage well inside Python's recursion limit.
 MAX_DEPTH = 200
 
+#: Largest crossing count |k| of a twist region the invariant engine takes.
+#: Its Chebyshev recursion runs |k| steps on polynomials of growing degree,
+#: so its time grows faster than k^2: on a 2-core machine D([200] *v [1/3])
+#: emits in about a second and D([400] *v [1/3]) in about five.  Component
+#: counts come from parity and take any count.
+MAX_TWIST = 200
+
 
 def _check_twist(k: int, pos: int) -> None:
     if k == 0:

@@ -95,3 +95,60 @@ def reference_divexact(a: MultiPoly, d: MultiPoly) -> dict | None:
             else:
                 rem.pop(k, None)
     return quo
+
+
+# -- the general RatFun normalisation ------------------------------------------
+#
+# RatFun as it normalises every fraction, with no shortcut for polynomials:
+# a fraction is a (num, den) pair of MultiPolys.  The kernel's shortcuts
+# must give the same terms, in the same insertion order, with the same
+# coefficient types.
+
+
+def reference_ratfun(num, den=1) -> tuple:
+    """(num, den) after the monomial and content passes of RatFun."""
+    n, d = MultiPoly._coerce(num), MultiPoly._coerce(den)
+    if n.is_zero():
+        return MultiPoly.zero(), MultiPoly.const(1)
+    shared = tuple(map(min, zip(*n.terms, *d.terms)))
+    if any(shared):
+        mono = MultiPoly({_trimmed(shared): 1})
+        n, d = n.divexact(mono), d.divexact(mono)
+    c = d.content()
+    if d.leading()[1] < 0:
+        c = -c
+    s = Fraction(c) / (Fraction(n.content()) / c).denominator
+    if s != 1:
+        n, d = n._divscalar(_canonical(s)), d._divscalar(_canonical(s))
+    return n, d
+
+
+def reference_add(a: tuple, b: tuple) -> tuple:
+    return reference_ratfun(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def reference_neg(a: tuple) -> tuple:
+    return reference_ratfun(-a[0], a[1])
+
+
+def reference_times(a: tuple, b: tuple) -> tuple:
+    return reference_ratfun(a[0] * b[0], a[1] * b[1])
+
+
+def reference_substitute(a: tuple, var: str, value: tuple) -> tuple:
+    """a with value put for var: Horner over fractions in num and den, then
+    one division."""
+    if var not in a[0].variables() | a[1].variables():
+        return a
+
+    def horner(p: MultiPoly) -> tuple:
+        parts = p.coeffs_in(var)
+        top = max(parts)
+        result = reference_ratfun(parts[top])
+        for k in range(top - 1, -1, -1):
+            result = reference_add(reference_times(result, value),
+                                   reference_ratfun(parts.get(k, MultiPoly.zero())))
+        return result
+
+    n, d = horner(a[0]), horner(a[1])
+    return reference_ratfun(n[0] * d[1], n[1] * d[0])

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import arborchar
 from arborchar import oracle, witness
 from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, TOL_ENV, main
-from arborchar.tangle import MAX_DEPTH
+from arborchar.tangle import MAX_DEPTH, MAX_TWIST
 
 
 def _run(argv):
@@ -86,6 +87,20 @@ class TestEmit:
         assert _run(["emit", "N(([-1] *v [1/1]) *h ([1] *h [-2]))"]) == EXIT_UNSUPPORTED
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    # a twist region longer than MAX_TWIST is an input error, raised before
+    # the engine's Chebyshev recursion runs
+    @pytest.mark.parametrize("k", ["99999999999999999999", str(-(MAX_TWIST + 1))])
+    def test_huge_twist_count_is_an_input_error(self, k, capsys):
+        start = time.perf_counter()
+        assert _run(["emit", f"D([{k}] *v [1/2])"]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1.0
+        assert f"more than {MAX_TWIST} crossings" in capsys.readouterr().err
+
+    def test_twist_count_at_the_bound_emits(self, capsys):
+        assert _run(["emit", "--format", "json", f"D([{MAX_TWIST}] *v [1/3])"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["variables"] == ["t", "r1"] and payload["equations"]
 
 
 def _module_level_imports(module) -> list[str]:
@@ -231,6 +246,9 @@ class TestComponents:
         assert capsys.readouterr().out.strip() == "2"
         assert _run(["components", "D([1/1] *v [1/2])"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "1"
+        # counts come from parity, so no twist bound applies
+        assert _run(["components", "D([99999999999999999999] *v [1/2])"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "1"
 
     @pytest.mark.parametrize(
         "expr",
@@ -372,3 +390,14 @@ class TestTopLevel:
 
     def test_missing_command(self):
         assert _run([]) == 2
+
+    def test_python_dash_m(self):
+        env = dict(os.environ)
+        src = str(Path(arborchar.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "arborchar", "components", "D([1/1] *v [1/2])"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.strip() == "1"

@@ -14,7 +14,18 @@ from arborchar.ratfun import (
     clear_denominators,
     pseudo_reduce,
 )
-from ratfun_helpers import grlex_key, reduce_by, reference_divexact, reference_mul
+from arborchar.ratfun import _ONE
+from ratfun_helpers import (
+    grlex_key,
+    reduce_by,
+    reference_add,
+    reference_divexact,
+    reference_mul,
+    reference_neg,
+    reference_ratfun,
+    reference_substitute,
+    reference_times,
+)
 
 
 def _t():
@@ -287,6 +298,11 @@ def _as_fractions(p):
     return q
 
 
+def _typed_terms(p):
+    """p's terms in insertion order, each with its coefficient's type."""
+    return [(e, c, type(c)) for e, c in p.terms.items()]
+
+
 def _assert_canonical(*polys):
     """Integral coefficients are ints; a Fraction only for the rest."""
     for p in polys:
@@ -358,6 +374,35 @@ class TestCoefficients:
             assert h.num == k.num and h.den == k.den
             for r in (f, h, f + h, f * h, f / RatFun(a, b), RatFun(p, MultiPoly.const(Fraction(7, 3)))):
                 _assert_canonical(r.num, r.den)
+            # a RatFun over 1 skips the normalisation passes, and arithmetic
+            # on two of them combines numerators only: every result has the
+            # general path's terms, in its order, with its coefficient types,
+            # and a result over 1 holds _ONE.  6 clears every denominator in
+            # COEFS.
+            for src in ((6 * p, 6 * q), (p, 6 * q), (p, q)):
+                f, g = map(RatFun, src)
+                rf, rg = map(reference_ratfun, src)
+                cases = [
+                    (f, rf),
+                    (f + g, reference_add(rf, rg)),
+                    (f - g, reference_add(rf, reference_neg(rg))),
+                    (-f, reference_neg(rf)),
+                    (f * g, reference_times(rf, rg)),
+                    (f + 3, reference_add(rf, reference_ratfun(3))),
+                    (3 - f, reference_add(reference_neg(rf), reference_ratfun(3))),
+                    (f * 0, reference_times(rf, reference_ratfun(0))),
+                    (f.substitute("x", g), reference_substitute(rf, "x", rg)),
+                    (f.substitute("x", RatFun(a, b)),
+                     reference_substitute(rf, "x", reference_ratfun(a, b))),
+                    (RatFun(a, b).substitute("x", g),
+                     reference_substitute(reference_ratfun(a, b), "x", rg)),
+                ]
+                for got, (num, den) in cases:
+                    assert _typed_terms(got.num) == _typed_terms(num)
+                    assert _typed_terms(got.den) == _typed_terms(den)
+                    assert (got.den is _ONE) == (den == 1)
+                    if got.den is _ONE:
+                        assert got.is_poly() and got.as_poly() is got.num
 
 
 class TestRatFun:
