@@ -283,8 +283,6 @@ class MultiPoly:
             p = MultiPoly.__new__(MultiPoly)
             p.terms = {(): other} if other else {}
             return p
-        if isinstance(other, MultiPoly):
-            return other
         if isinstance(other, (int, Fraction)):
             return MultiPoly.const(other)
         return NotImplemented  # type: ignore[return-value]
@@ -682,8 +680,6 @@ class RatFun:
             return other
         if type(other) is int:
             return RatFun._polynomial(MultiPoly._coerce(other))
-        if isinstance(other, RatFun):
-            return other
         if isinstance(other, (MultiPoly, int, Fraction)):
             return RatFun(other)
         return NotImplemented  # type: ignore[return-value]
@@ -958,13 +954,6 @@ def _poly_subs_ratfun(p: MultiPoly, var: str, value: RatFun) -> RatFun:
     if not parts:
         return RatFun(0)
     top = max(parts)
-    if value.den is _ONE:
-        # Horner over MultiPoly: every step of the RatFun Horner below would
-        # combine integer numerators only
-        v, poly = value.num, parts[top]
-        for k in range(top - 1, -1, -1):
-            poly = poly * v + parts.get(k, 0)
-        return RatFun(poly)
     # Horner in the substituted value
     result = RatFun(parts.get(top, MultiPoly.zero()))
     for k in range(top - 1, -1, -1):
