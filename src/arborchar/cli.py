@@ -18,11 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from importlib import import_module
 
-from . import SUITE_NAMES, __version__
+from . import RESIDUAL_TOL, SUITE_NAMES, __version__
 from .errors import (
     ArborError,
     GenericityError,
@@ -56,8 +55,6 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY = 4
 
-TOL_ENV = "ARBORCHAR_TOL"
-
 
 def _tolerance(raw: str) -> float:
     """A residual tolerance: a finite number > 0."""
@@ -79,16 +76,6 @@ def _count(raw: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"count must be an integer >= 1, not {raw!r}")
     return n
-
-
-def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV)
-    if raw is None:
-        return 1e-9
-    try:
-        return _tolerance(raw)
-    except argparse.ArgumentTypeError as exc:
-        _fail(EXIT_INPUT, f"{TOL_ENV}: {exc}")
 
 
 def _read_expression(args: argparse.Namespace) -> str:
@@ -231,11 +218,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 def _complex_arg(raw: str) -> complex:
+    """A finite complex number; anything else ends with exit code 2."""
     try:
-        return complex(raw.replace(" ", ""))
+        z = complex(raw.replace(" ", ""))
     except ValueError:
         _fail(EXIT_INPUT, f"not a complex number: {raw!r}")
+    if not _finite(z):
+        _fail(EXIT_INPUT, f"not a finite number: {raw!r}")
+    return z
 
 
 def _load_pair(path: str) -> tuple[Mat2, Mat2]:
@@ -247,6 +242,8 @@ def _load_pair(path: str) -> tuple[Mat2, Mat2]:
         mats = []
         for key in ("a1", "a2"):
             entries = [complex(re, im) for re, im in data[key]]
+            if not all(map(_finite, entries)):
+                raise ValueError(f"{key} has a non-finite entry")
             mats.append(Mat2(*entries))
         return mats[0], mats[1]
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -346,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--samples", type=_count, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=_tolerance, default=None)
+    p_verify.add_argument("--tol", type=_tolerance, default=RESIDUAL_TOL)
     p_verify.add_argument("--out", help="write the JSON report to a file")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--t13-count", type=_count, default=5)
     p_wit.add_argument("--pair-file", help="JSON file with entries a1, a2")
     p_wit.add_argument("--seed", type=int, default=0)
-    p_wit.add_argument("--tol", type=_tolerance, default=None)
+    p_wit.add_argument("--tol", type=_tolerance, default=RESIDUAL_TOL)
     p_wit.add_argument("--out", help="write the JSON report to a file")
     p_wit.set_defaults(func=cmd_witness)
 
@@ -373,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-        args.tol = _default_tol()
     try:
         return args.func(args)
     except SystemExit:

@@ -32,8 +32,18 @@ from fractions import Fraction
 from .chebyshev import ChebyshevPair, Number, chebyshev  # noqa: F401
 from .errors import ClassificationError, DomainError, GenericityError
 
-#: default absolute tolerance on entries and traces in double mode
+#: absolute tolerance on entries and traces in double mode
 TOL = 1e-9
+
+#: bound of a pair decomposition's rebuild checks, which take a couple of
+#: extra arithmetic steps
+REBUILD_TOL = 100 * TOL
+
+#: |trace criterion| bound of `is_reducible`
+REDUCIBLE_TOL = 1e-7
+
+#: bound of `has_common_eigenvector` on kernel rows and cross products
+EIGENVECTOR_TOL = 1e-5
 
 #: samples closer than this to a vanishing denominator are rejected
 CONDITION_FLOOR = 1e-6
@@ -53,10 +63,10 @@ def _inv(x: Number) -> Number:
     return 1.0 / x
 
 
-def _near(x: Number, y: Number, tol: float = TOL) -> bool:
+def _near(x: Number, y: Number) -> bool:
     if type(x) is not complex and _is_exact(x) and _is_exact(y):
         return x == y
-    return abs(complex(x) - complex(y)) <= tol
+    return abs(complex(x) - complex(y)) <= TOL
 
 
 class Mat2:
@@ -172,18 +182,23 @@ class Mat2:
     def approx_eq(self, o: "Mat2", tol: float = TOL) -> bool:
         return (self - o).norm() <= tol
 
-    def in_G(self, tol: float = TOL) -> bool:
-        """Unimodularity check: |det - 1| <= tol (exact equality if exact)."""
+    def in_G(self) -> bool:
+        """Unimodularity check: |det - 1| <= TOL (exact equality if exact)."""
         d = self.det()
         if _is_exact(d):
             return d == 1
-        return abs(complex(d) - 1) <= tol
+        return abs(complex(d) - 1) <= TOL
 
     def to_complex(self) -> "Mat2":
         return Mat2(*(complex(x) for x in self.entries()))
 
 
 IDENTITY = Mat2.identity()
+
+
+def trace_of_product(x: Mat2, y: Mat2) -> complex:
+    """tr(x @ y) from the two diagonal entries of the product."""
+    return complex((x.a11 * y.a11 + x.a12 * y.a21) + (x.a21 * y.a12 + x.a22 * y.a22))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +338,9 @@ def special(kind: str, *params: Number) -> Mat2:
 # ---------------------------------------------------------------------------
 
 
-def cayley_power(z: Mat2, n: int, tol: float = TOL) -> Mat2:
+def cayley_power(z: Mat2, n: int) -> Mat2:
     """z^n via the trace recursion instead of repeated multiplication."""
-    if not z.in_G(tol):
+    if not z.in_G():
         raise DomainError("cayley_power requires det = 1")
     r = z.trace()
     om_n = chebyshev(n, r).omega
@@ -357,7 +372,7 @@ def kappa_of_trace(t: Number) -> complex:
     return (t + _sqrt(t * t - 4)) / 2
 
 
-def is_reducible(a1: Mat2, a2: Mat2, tol: float = TOL) -> bool:
+def is_reducible(a1: Mat2, a2: Mat2) -> bool:
     """Trace criterion for a shared eigenvector.
 
     tau^2 - t1*t2*tau + t1^2 + t2^2 - 4 = 0, which at t1 = t2 = t factors
@@ -369,21 +384,21 @@ def is_reducible(a1: Mat2, a2: Mat2, tol: float = TOL) -> bool:
     val = tau * tau - t1 * t2 * tau + t1 * t1 + t2 * t2 - 4
     if _is_exact(val):
         return val == 0
-    return abs(complex(val)) <= tol
+    return abs(complex(val)) <= REDUCIBLE_TOL
 
 
-def has_common_eigenvector(a1: Mat2, a2: Mat2, tol: float = TOL) -> bool:
+def has_common_eigenvector(a1: Mat2, a2: Mat2) -> bool:
     """Direct eigenvector search; the oracle's independent reducibility test."""
     m2 = a2.to_complex()
-    for v in _eigenvectors(a1.to_complex(), tol):
+    for v in _eigenvectors(a1.to_complex()):
         w_ = (m2.a11 * v[0] + m2.a12 * v[1], m2.a21 * v[0] + m2.a22 * v[1])
         cross = w_[0] * v[1] - w_[1] * v[0]
-        if abs(cross) <= tol * max(1.0, abs(w_[0]) + abs(w_[1])):
+        if abs(cross) <= EIGENVECTOR_TOL * max(1.0, abs(w_[0]) + abs(w_[1])):
             return True
     return False
 
 
-def _eigenvectors(m: Mat2, tol: float) -> list[tuple[complex, complex]]:
+def _eigenvectors(m: Mat2) -> list[tuple[complex, complex]]:
     tr = complex(m.trace())
     disc = _sqrt(tr * tr - 4 * complex(m.det()))
     out = []
@@ -392,16 +407,14 @@ def _eigenvectors(m: Mat2, tol: float) -> list[tuple[complex, complex]]:
         r1 = (complex(m.a11) - lam, complex(m.a12))
         r2 = (complex(m.a21), complex(m.a22) - lam)
         row = r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1]) else r2
-        if abs(row[0]) + abs(row[1]) <= tol:
+        if abs(row[0]) + abs(row[1]) <= EIGENVECTOR_TOL:
             out.extend([(1.0, 0.0), (0.0, 1.0)])
         else:
             out.append((-row[1], row[0]))
     return out
 
 
-def decompose_pair(
-    a1: Mat2, a2: Mat2, t1: Number, t2: Number, tol: float = TOL
-) -> DecompositionReport:
+def decompose_pair(a1: Mat2, a2: Mat2, t1: Number, t2: Number) -> DecompositionReport:
     """Classify a1*a2 against the canonical forms and recover parameters.
 
     Single-trace products d(lam), p, -p and two-trace products d(lam),
@@ -409,101 +422,97 @@ def decompose_pair(
     sign trick (-a1)a2 = -p and flagged.  Rebuilding the pair from the
     report reproduces the input.
     """
-    if not _near(a1.trace(), t1, tol) or not _near(a2.trace(), t2, tol):
+    if not _near(a1.trace(), t1) or not _near(a2.trace(), t2):
         raise DomainError("matrix traces do not match the stated t1, t2")
-    single = _near(t1, t2, tol)
+    single = _near(t1, t2)
     m = a1 @ a2
 
-    diag = abs(complex(m.a12)) <= tol and abs(complex(m.a21)) <= tol
+    diag = abs(complex(m.a12)) <= TOL and abs(complex(m.a21)) <= TOL
     if diag:
         lam = m.a11
         if single:
-            return _decompose_single_diag(a1, a2, t1, lam, tol)
-        return _decompose_two_diag(a1, a2, t1, t2, lam, tol)
+            return _decompose_single_diag(a1, a2, t1, lam)
+        return _decompose_two_diag(a1, a2, t1, t2, lam)
 
-    if m.approx_eq(-p(), tol):
-        return _decompose_minus_p(a1, a2, t1, t2, tol, flipped=False)
-    if m.approx_eq(p(), tol):
+    if m.approx_eq(-p()):
+        return _decompose_minus_p(a1, a2, t1, t2, flipped=False)
+    if m.approx_eq(p()):
         if single:
             # single-trace pairs with product exactly +p: u+ parametrization
-            return _decompose_single_p(a1, a2, t1, tol)
+            return _decompose_single_p(a1, a2, t1)
         # two-trace +p handled through (-a1)*a2 = -p
-        return _decompose_minus_p(-a1, a2, -t1, t2, tol, flipped=True)
+        return _decompose_minus_p(-a1, a2, -t1, t2, flipped=True)
     raise ClassificationError("product is not d(lam), p, or -p")
 
 
-def _decompose_single_diag(
-    a1: Mat2, a2: Mat2, t: Number, lam: Number, tol: float
-) -> DecompositionReport:
+def _decompose_single_diag(a1: Mat2, a2: Mat2, t: Number, lam: Number) -> DecompositionReport:
     s = lam + _inv(lam)
     for bad, label in ((2, "lam + 1/lam = 2"), (-2, "lam + 1/lam = -2"),
                        (t * t - 2, "lam + 1/lam = t^2 - 2")):
-        if _near(s, bad, tol):
+        if _near(s, bad):
             raise GenericityError(f"excluded diagonal product: {label}")
     mu = a2.a12 * (lam + 1)
     rebuilt = (h1(t, lam, -lam * mu), h1(t, lam, mu))
-    _check_rebuilt(rebuilt, a1, a2, tol, "h-parametrization failed to rebuild the pair")
+    _check_rebuilt(rebuilt, a1, a2, "h-parametrization failed to rebuild the pair")
     return DecompositionReport("single", "a", {"lam": lam, "mu": mu}, False, rebuilt)
 
 
-def _decompose_single_p(a1: Mat2, a2: Mat2, t: Number, tol: float) -> DecompositionReport:
+def _decompose_single_p(a1: Mat2, a2: Mat2, t: Number) -> DecompositionReport:
     kappa = a2.a11
     xi = a1.a12
     rebuilt = (u_plus(_inv(kappa), xi), u_plus(kappa, kappa - xi))
-    _check_rebuilt(rebuilt, a1, a2, tol, "u+ parametrization failed to rebuild the pair")
+    _check_rebuilt(rebuilt, a1, a2, "u+ parametrization failed to rebuild the pair")
     return DecompositionReport("single", "b", {"kappa": kappa, "xi": xi}, False, rebuilt)
 
 
 def _decompose_minus_p(
-    a1: Mat2, a2: Mat2, t1: Number, t2: Number, tol: float, flipped: bool
+    a1: Mat2, a2: Mat2, t1: Number, t2: Number, flipped: bool
 ) -> DecompositionReport:
-    single = _near(t1, t2, tol)
+    single = _near(t1, t2)
     if single:
-        if _near(t1, 0, tol):
+        if _near(t1, 0):
             raise GenericityError("-p decomposition needs t != 0")
         alpha = a1.a11 - _half(t1)
         rebuilt = (k1(t1, alpha), k1(t1, alpha - t1))
-        _check_rebuilt(rebuilt, a1, a2, tol, "k-parametrization failed to rebuild the pair")
+        _check_rebuilt(rebuilt, a1, a2, "k-parametrization failed to rebuild the pair")
         rep = DecompositionReport("single", "c", {"alpha": alpha}, flipped, rebuilt)
         return rep
-    if _near(t1 + t2, 0, tol):
+    if _near(t1 + t2, 0):
         # two-trace case (c): a2 upper-triangular with eigenvalue entry
         eps_base = a2.a11
         xi = a2.a12 - eps_base
         rebuilt = (u_plus(-_inv(eps_base), xi), u_plus(eps_base, xi + eps_base))
-        _check_rebuilt(rebuilt, a1, a2, tol, "u+ parametrization failed (two-trace -p)")
+        _check_rebuilt(rebuilt, a1, a2, "u+ parametrization failed (two-trace -p)")
         return DecompositionReport(
             "two_trace", "c", {"kappa2_eps": eps_base, "xi": xi}, flipped, rebuilt
         )
     alpha = a2.a11 - _half(t2)
     rebuilt = (k2(t1, t2, alpha + _half(t1 + t2)), k2(t2, t1, alpha))
-    _check_rebuilt(rebuilt, a1, a2, tol, "k-parametrization failed (two-trace -p)")
+    _check_rebuilt(rebuilt, a1, a2, "k-parametrization failed (two-trace -p)")
     return DecompositionReport("two_trace", "d", {"alpha": alpha}, flipped, rebuilt)
 
 
 def _decompose_two_diag(
-    a1: Mat2, a2: Mat2, t1: Number, t2: Number, lam: Number, tol: float
+    a1: Mat2, a2: Mat2, t1: Number, t2: Number, lam: Number
 ) -> DecompositionReport:
-    if _near(lam, 1, tol) or _near(lam, -1, tol):
+    if _near(lam, 1) or _near(lam, -1):
         raise GenericityError("excluded diagonal product: lam = +-1")
     kap1 = kappa_of_trace(t1)
     kap2 = kappa_of_trace(t2)
     for e1 in (1, -1):
         for e2 in (1, -1):
-            if abs(complex(lam) - kap1**e1 * kap2**e2) <= _loose(tol):
-                return _decompose_two_diag_uform(
-                    a1, a2, kap1**e1, kap2**e2, tol
-                )
+            if abs(complex(lam) - kap1**e1 * kap2**e2) <= REBUILD_TOL:
+                return _decompose_two_diag_uform(a1, a2, kap1**e1, kap2**e2)
     mu = a2.a12 * (lam - _inv(lam))
     rebuilt = (h2(t1, t2, lam, -lam * mu), h2(t2, t1, lam, mu))
-    _check_rebuilt(rebuilt, a1, a2, tol, "two-trace h-parametrization failed to rebuild")
+    _check_rebuilt(rebuilt, a1, a2, "two-trace h-parametrization failed to rebuild")
     return DecompositionReport("two_trace", "a", {"lam": lam, "mu": mu}, False, rebuilt)
 
 
 def _decompose_two_diag_uform(
-    a1: Mat2, a2: Mat2, k1e: complex, k2e: complex, tol: float
+    a1: Mat2, a2: Mat2, k1e: complex, k2e: complex
 ) -> DecompositionReport:
-    if abs(complex(a2.a21)) <= _loose(tol):
+    if abs(complex(a2.a21)) <= REBUILD_TOL:
         alpha = k2e * complex(a2.a12)
         rebuilt = (u_plus(k1e, -k1e * alpha), u_plus(k2e, alpha / k2e))
         form = "u_plus"
@@ -511,7 +520,7 @@ def _decompose_two_diag_uform(
         alpha = complex(a2.a21) / k2e
         rebuilt = (u_minus(k1e, -alpha / k1e), u_minus(k2e, k2e * alpha))
         form = "u_minus"
-    _check_rebuilt(rebuilt, a1, a2, tol, "triangular parametrization failed to rebuild")
+    _check_rebuilt(rebuilt, a1, a2, "triangular parametrization failed to rebuild")
     return DecompositionReport(
         "two_trace",
         "b",
@@ -521,17 +530,10 @@ def _decompose_two_diag_uform(
     )
 
 
-def _check_rebuilt(
-    rebuilt: tuple[Mat2, Mat2], a1: Mat2, a2: Mat2, tol: float, failure: str
-) -> None:
+def _check_rebuilt(rebuilt: tuple[Mat2, Mat2], a1: Mat2, a2: Mat2, failure: str) -> None:
     """Raise ClassificationError(failure) unless rebuilt reproduces (a1, a2)."""
-    if not (rebuilt[0].approx_eq(a1, _loose(tol)) and rebuilt[1].approx_eq(a2, _loose(tol))):
+    if not (rebuilt[0].approx_eq(a1, REBUILD_TOL) and rebuilt[1].approx_eq(a2, REBUILD_TOL)):
         raise ClassificationError(failure)
-
-
-def _loose(tol: float) -> float:
-    # rebuild checks involve a couple of extra arithmetic steps
-    return 100 * tol
 
 
 # ---------------------------------------------------------------------------

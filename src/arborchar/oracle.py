@@ -23,7 +23,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import SUITE_NAMES
+from . import RESIDUAL_TOL, SUITE_NAMES
 from .errors import ConditioningError, DomainError
 from .invariants import InvariantData, Presentation, base_invariants, closure_equations
 from .mat2 import (
@@ -38,6 +38,7 @@ from .mat2 import (
     is_reducible,
     kappa_of_trace,
     special,
+    trace_of_product,
 )
 from .tangle import (
     ClosureExpr,
@@ -191,16 +192,16 @@ class TangleRep:
     region_traces: tuple[complex, ...] = ()
 
     def u(self) -> complex:
-        return _tr2(self.x_nw, self.x_ne)
+        return trace_of_product(self.x_nw, self.x_ne)
 
     def udot(self) -> complex:
-        return _tr2(self.x_ne, self.x_se)
+        return trace_of_product(self.x_ne, self.x_se)
 
     def ugrave(self) -> complex:
-        return _tr2(self.x_nw, self.x_se)
+        return trace_of_product(self.x_nw, self.x_se)
 
     def uacute(self) -> complex:
-        return _tr2(self.x_sw, self.x_ne)
+        return trace_of_product(self.x_sw, self.x_ne)
 
     def ucheck(self) -> complex:
         return self.ugrave() - self.uacute()
@@ -208,11 +209,6 @@ class TangleRep:
     def boundary_residual(self) -> float:
         prod = self.x_nw @ self.x_ne @ self.x_se @ self.x_sw
         return (prod - IDENTITY).norm()
-
-
-def _tr2(x: Mat2, y: Mat2) -> complex:
-    """tr(x @ y) from the two diagonal entries of the product."""
-    return complex((x.a11 * y.a11 + x.a12 * y.a21) + (x.a21 * y.a12 + x.a22 * y.a22))
 
 
 # The over-strand conjugation rule fixes each crossing sign; these step
@@ -233,7 +229,7 @@ def _step_vert(sign: int, left: Mat2, right: Mat2) -> tuple[Mat2, Mat2]:
 def twist_rep(atom: TangleExpr, x: Mat2, y: Mat2, t: complex) -> TangleRep:
     """Representation of [k] or [1/k] from its two entering strands."""
     sign = 1 if atom.k > 0 else -1
-    r = _tr2(x, y)
+    r = trace_of_product(x, y)
     a, b = x, y
     for _ in range(abs(atom.k)):
         if isinstance(atom, IntTwist):
@@ -627,7 +623,7 @@ def _suite_tr_h(rng: random.Random) -> float:
     lam = _sample_lam(rng, t)
     mu, nu = _nonzero(rng), _nonzero(rng)
     h = lambda m: special("h1", t, lam, m)
-    direct = _tr2(h(mu).inv(), h(nu))
+    direct = trace_of_product(h(mu).inv(), h(nu))
     closed = complex(closed_trace("h1_inv_h1", t=t, lam=lam, mu=mu, nu=nu))
     res = abs(direct - closed)
 
@@ -640,11 +636,11 @@ def _suite_tr_h(rng: random.Random) -> float:
     res = max(
         res,
         abs(
-            _tr2(h2a(m2).inv(), h2a(n2))
+            trace_of_product(h2a(m2).inv(), h2a(n2))
             - complex(closed_trace("h2_inv_h2_same", t1=t1, t2=tt2, lam=lam2, mu=m2, nu=n2))
         ),
         abs(
-            _tr2(h2a(m2).inv(), h2b(n2))
+            trace_of_product(h2a(m2).inv(), h2b(n2))
             - complex(closed_trace("h2_inv_h2_swapped", t1=t1, t2=tt2, lam=lam2, mu=m2, nu=n2))
         ),
     )
@@ -654,9 +650,12 @@ def _suite_tr_h(rng: random.Random) -> float:
         k2b = lambda x: special("k2", tt2, t1, x)
         res = max(
             res,
-            abs(_tr2(k2a(al).inv(), k2a(be)) - complex(closed_trace("k2_inv_k2_same", alpha=al, beta=be))),
             abs(
-                _tr2(k2a(al).inv(), k2b(be))
+                trace_of_product(k2a(al).inv(), k2a(be))
+                - complex(closed_trace("k2_inv_k2_same", alpha=al, beta=be))
+            ),
+            abs(
+                trace_of_product(k2a(al).inv(), k2b(be))
                 - complex(closed_trace("k2_inv_k2_swapped", t1=t1, t2=tt2, alpha=al, beta=be))
             ),
         )
@@ -765,8 +764,8 @@ def _suite_reducible(rng: random.Random) -> float:
         t2 = t1
         r = 2 if rng.random() < 0.5 else t1 * t1 - 2
         a1, a2 = conditioned_pair(t1, r, rng)
-    flag = is_reducible(a1, a2, 1e-7)
-    eig = has_common_eigenvector(a1, a2, 1e-5)
+    flag = is_reducible(a1, a2)
+    eig = has_common_eigenvector(a1, a2)
     return 0.0 if flag == eig else 1.0
 
 
@@ -796,7 +795,7 @@ def _suite_base(rng: random.Random) -> float:
                 abs(rep.udot() - exp_ud) / scale,
                 abs(rep.ucheck() - exp_uc) / scale,
                 _rel(rep.boundary_residual(), mscale),
-                _rel(abs(_tr2(rep.x_nw, rep.x_sw) - rep.udot()), mscale),
+                _rel(abs(trace_of_product(rep.x_nw, rep.x_sw) - rep.udot()), mscale),
             )
     return res
 
@@ -924,7 +923,7 @@ def _suite_presentation(rng: random.Random) -> float:
     for eq in equations:
         res = max(res, abs(eq(point)) / eq.scale)
     res = max(res, _rel(rep.boundary_residual(), 1.0))
-    res = max(res, _rel(abs(_tr2(rep.x_nw, rep.x_sw) - rep.udot()), 1.0))
+    res = max(res, _rel(abs(trace_of_product(rep.x_nw, rep.x_sw) - rep.udot()), 1.0))
     return res
 
 
@@ -1000,9 +999,9 @@ def _suite_pretzel(rng: random.Random) -> float:
         nw, ne = xs[i]
         nw_n, ne_n = xs[(i + 1) % 4]
         res = max(res, _rel((nw @ ne - special("d", lam)).norm(), 1.0))
-        r_meas = _tr2(ne_n.inv(), ne)
+        r_meas = trace_of_product(ne_n.inv(), ne)
         res = max(res, _rel(abs(r_meas - rs[i]), abs(rs[i])))
-        uc_meas = _tr2(ne_n.inv(), nw) - _tr2(nw_n.inv(), ne)
+        uc_meas = trace_of_product(ne_n.inv(), nw) - trace_of_product(nw_n.inv(), ne)
         two_form = 2 * rs[i] ** 2 + (tau - 2 * t1 * t2) * rs[i] + t1 * t1 + t2 * t2 - 4
         res = max(res, _rel(abs(uc_meas - two_form), abs(two_form)))
 
@@ -1077,7 +1076,7 @@ def default_samples(name: str, requested: int | None = None) -> int:
 
 
 def run_suite(
-    name: str, samples: int | None = None, seed: int = 0, tol: float = 1e-9
+    name: str, samples: int | None = None, seed: int = 0, tol: float = RESIDUAL_TOL
 ) -> SuiteReport:
     """Run one verification suite; deterministic for a given seed."""
     if name not in _SUITES:

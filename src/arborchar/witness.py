@@ -25,7 +25,14 @@ from .errors import (
     GenericityError,
     InconsistencyError,
 )
-from .mat2 import IDENTITY, Mat2, TOL
+from .mat2 import IDENTITY, TOL, Mat2, trace_of_product
+
+#: |sqrt(t^2 - 4)| below this is t = +-2, where a1 cannot be diagonalized
+DIAG_FLOOR = 1e-6
+
+#: bound on the extended 4x4 Gram determinant in `complete_fourth`,
+#: relative to the scale of its entries
+GRAM_DET_TOL = 1e-8
 
 __all__ = [
     "GramData",
@@ -95,12 +102,12 @@ class GramData:
         return _adj(self.S)
 
 
-def gram(matrices: list[Mat2], traces: list[complex], tol: float = TOL) -> GramData:
+def gram(matrices: list[Mat2], traces: list[complex]) -> GramData:
     """Pairing data s_ij = tr(abar_i abar_j); s_ii = t_i^2/2 - 2."""
     if len(matrices) != len(traces):
         raise DomainError("one trace per matrix required")
     for a, t in zip(matrices, traces):
-        if abs(complex(a.trace()) - complex(t)) > tol:
+        if abs(complex(a.trace()) - complex(t)) > TOL:
             raise DomainError("matrix trace does not match the stated value")
     barred = tuple(_bar(a, t) for a, t in zip(matrices, traces))
     n = len(barred)
@@ -116,31 +123,24 @@ def gram(matrices: list[Mat2], traces: list[complex], tol: float = TOL) -> GramD
     )
 
 
-def third_with_traces(
-    a1: Mat2,
-    a2: Mat2,
-    t: complex,
-    t13: complex,
-    t23: complex,
-    tol: float = TOL,
-) -> Mat2:
+def third_with_traces(a1: Mat2, a2: Mat2, t: complex, t13: complex, t23: complex) -> Mat2:
     """A matrix a3 in G(t) with tr(a1 a3) = t13 and tr(a2 a3) = t23.
 
     Works in a frame where a1 is diagonal with eigenvalue kappa; the
     diagonal of a3 is then forced and the off-diagonal entries solve a
     linear-plus-quadratic system.
     """
-    if abs(t13 - t23) <= tol or abs(t13 - (t * t - t23)) <= tol:
+    if abs(t13 - t23) <= TOL or abs(t13 - (t * t - t23)) <= TOL:
         raise GenericityError("t13 must avoid {t23, t^2 - t23}")
     comm = (a1 @ a2 - a2 @ a1).norm()
-    if comm <= tol:
+    if comm <= TOL:
         raise DomainError("a1 and a2 must not commute")
     t = complex(t)
     disc = cmath.sqrt(t * t - 4)
-    if abs(disc) < 1e-6:
+    if abs(disc) < DIAG_FLOOR:
         raise ConditioningError("t too close to +-2 for diagonalization")
     kappa = (t + disc) / 2
-    c = _diagonalizer(a1.to_complex(), kappa, tol)
+    c = _diagonalizer(a1.to_complex(), kappa)
     b2 = a2.to_complex().conj_by(c)
 
     ki = 1 / kappa
@@ -150,24 +150,22 @@ def third_with_traces(
     dd = b11 * b22 - 1  # = b12 * b21 from det = 1
     b12, b21 = _solve_offdiag(b2.a12, b2.a21, rhs, dd)
     a3 = Mat2(b11, b12, b21, b22).conj_by(c.inv())
-    for val, want in ((a3.trace(), t), (_tr(a1, a3), t13), (_tr(a2, a3), t23)):
+    for val, want in (
+        (a3.trace(), t), (trace_of_product(a1, a3), t13), (trace_of_product(a2, a3), t23)
+    ):
         if abs(complex(val) - complex(want)) > 1e-6:
             raise InconsistencyError("constructed a3 fails a trace check")
     return a3
 
 
-def _tr(x: Mat2, y: Mat2) -> complex:
-    return complex((x.to_complex() @ y.to_complex()).trace())
-
-
-def _diagonalizer(a: Mat2, kappa: complex, tol: float) -> Mat2:
+def _diagonalizer(a: Mat2, kappa: complex) -> Mat2:
     """c with (c a c^{-1}) = d(kappa); columns of c^{-1} are eigenvectors."""
     vs = []
     for lam in (kappa, 1 / kappa):
         r1 = (a.a11 - lam, a.a12)
         r2 = (a.a21, a.a22 - lam)
         row = r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1]) else r2
-        if abs(row[0]) + abs(row[1]) <= tol:
+        if abs(row[0]) + abs(row[1]) <= TOL:
             vs.append((1.0, 0.0) if lam == kappa else (0.0, 1.0))
         else:
             vs.append((-row[1], row[0]))
@@ -199,14 +197,7 @@ def _solve_offdiag(
     raise DomainError("a2 is diagonal in the a1-eigenframe (commuting pair)")
 
 
-def complete_fourth(
-    g: GramData,
-    s14: complex,
-    s24: complex,
-    s34: complex,
-    t4: complex,
-    tol: float = 1e-8,
-) -> Mat2:
+def complete_fourth(g: GramData, s14: complex, s24: complex, s34: complex, t4: complex) -> Mat2:
     """a4 = c1 abar_1 + c2 abar_2 + c3 abar_3 + (t4/2) e with prescribed
     pairings, c = adj(S) s / det S; requires the extended 4x4 Gram
     determinant s44 det S - s^T adj(S) s to vanish."""
@@ -221,7 +212,7 @@ def complete_fourth(
     d4 = s44 * detS - sum(x * y for x, y in zip(s4, adj_s))
     entries = [z for row in g.S for z in row] + [*s4, s44]
     scale = max(1.0, max(map(abs, entries)) ** 4)
-    if abs(d4) > tol * scale:
+    if abs(d4) > GRAM_DET_TOL * scale:
         raise InconsistencyError(
             f"extended Gram determinant must vanish; got {d4:.3e}"
         )
@@ -268,12 +259,12 @@ class WitnessSample:
     def trace_table(self) -> dict:
         a1, a2, a3, a4 = self.quadruple
         return {
-            "t13": _tr(a1, a3),
-            "t23": _tr(a2, a3),
-            "t14": _tr(a1, a4),
-            "t34": _tr(a3, a4),
-            "t24": _tr(a2, a4),
-            "t12": _tr(a1, a2),
+            "t13": trace_of_product(a1, a3),
+            "t23": trace_of_product(a2, a3),
+            "t14": trace_of_product(a1, a4),
+            "t34": trace_of_product(a3, a4),
+            "t24": trace_of_product(a2, a4),
+            "t12": trace_of_product(a1, a2),
         }
 
     def to_json(self) -> dict:
@@ -306,9 +297,13 @@ def witness_family(
     """One quadruple per admissible t13 value, pairwise non-conjugate; each
     takes the first root of ``solve_s24``.
 
-    Side conditions: t23, t34, t14 avoid {2, t^2 - 2}; each t13 avoids
-    {t23, t^2 - t23} and keeps the 3x3 Gram determinant nonzero.
+    Side conditions: t avoids +-2 (|sqrt(t^2 - 4)| >= DIAG_FLOOR); t23, t34,
+    t14 avoid {2, t^2 - 2}; each t13 avoids {t23, t^2 - t23} and keeps the
+    3x3 Gram determinant nonzero.
     """
+    tc = complex(t)
+    if abs(cmath.sqrt(tc * tc - 4)) < DIAG_FLOOR:
+        raise GenericityError("t must avoid +-2")
     for name, val in (("t23", t23), ("t34", t34), ("t14", t14)):
         for bad in (2, t * t - 2):
             if abs(complex(val) - complex(bad)) <= TOL:

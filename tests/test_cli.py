@@ -1,4 +1,4 @@
-"""Command-line interface: exit codes, output formats, environment overrides."""
+"""Command-line interface: exit codes, output formats, tolerance flags."""
 
 import ast
 import importlib
@@ -14,7 +14,7 @@ import pytest
 
 import arborchar
 from arborchar import oracle, witness
-from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, TOL_ENV, main
+from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, main
 from arborchar.tangle import MAX_DEPTH, MAX_TWIST
 
 
@@ -218,6 +218,17 @@ class TestImportGraph:
         assert oracle.SUITE_NAMES is arborchar.SUITE_NAMES
 
 
+def _run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m arborchar ARGV`` in a fresh interpreter, killed after 60 s."""
+    env = dict(os.environ)
+    src = str(Path(arborchar.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "arborchar", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def _modules_after(argvs: list[list[str]]) -> set[str]:
     """The modules a fresh interpreter has loaded after importing the CLI
     and running each argv through cli.main, every one of which must
@@ -292,21 +303,11 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: cannot write {dest}")
 
-    def test_env_tolerance(self, capsys, monkeypatch):
-        # an absurdly tight tolerance from the environment forces failures
-        monkeypatch.setenv(TOL_ENV, "1e-300")
-        code = _run(["verify", "--suite", "identities", "--samples", "2"])
-        assert code == 4
-        monkeypatch.setenv(TOL_ENV, "1e-6")
-        code = _run(["verify", "--suite", "identities", "--samples", "2"])
-        assert code == EXIT_OK
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(TOL_ENV, "1e-300")
-        code = _run(
-            ["verify", "--suite", "identities", "--samples", "2", "--tol", "1e-6"]
-        )
-        assert code == EXIT_OK
+    def test_tolerance_flag(self, capsys):
+        # an absurdly tight tolerance forces failures, a loose one passes
+        args = ["verify", "--suite", "identities", "--samples", "2", "--tol"]
+        assert _run(args + ["1e-300"]) == 4
+        assert _run(args + ["1e-6"]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "flags",
@@ -316,12 +317,6 @@ class TestVerify:
     )
     def test_bad_flag_is_an_input_error(self, flags, capsys):
         assert _run(["verify", "--suite", "identities", *flags]) == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("raw", ["nan", "abc", "-1e-9"])
-    def test_bad_env_tolerance_is_an_input_error(self, raw, capsys, monkeypatch):
-        monkeypatch.setenv(TOL_ENV, raw)
-        assert _run(["verify", "--suite", "identities", "--samples", "2"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
 
@@ -382,6 +377,37 @@ class TestWitness:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("t", ["2", "-2"])
+    def test_parabolic_t_is_a_side_condition(self, t, capsys):
+        assert _run(self.ARGS + [f"--t={t}", "--t13-count", "2"]) == EXIT_INPUT
+        assert "t must avoid +-2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--t", "nan"], ["--t23", "inf"], ["--t13", "nan"]],
+        ids=["t-nan", "t23-inf", "t13-nan"],
+    )
+    def test_non_finite_number_is_an_input_error(self, flags):
+        # in a fresh process with a timeout: a NaN trace used to keep the
+        # random t13 draw from ever ending
+        done = _run_fresh(self.ARGS + ["--t13-count", "2"] + flags)
+        assert done.returncode == EXIT_INPUT
+        assert "error: not a finite number" in done.stderr
+
+    def test_non_finite_pair_file_is_an_input_error(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        pair.write_text('{"a1": [[NaN, 0], [1, 0], [0, 0], [1, 0]], '
+                        '"a2": [[1, 0], [0, 0], [1, 0], [1, 0]]}')
+        assert _run(self.ARGS + ["--t13-count", "2", "--pair-file", str(pair)]) == EXIT_INPUT
+        assert "non-finite entry" in capsys.readouterr().err
+
+    def test_readme_call_matches_golden(self, capsys):
+        """The README's witness call prints ``tests/golden/witness-seed1.json``
+        byte for byte."""
+        golden = Path(__file__).parent / "golden" / "witness-seed1.json"
+        code = _run(self.ARGS + ["--t13-count", "5", "--seed", "1"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == golden.read_text()
+
 
 class TestTopLevel:
     def test_version(self, capsys):
@@ -392,12 +418,6 @@ class TestTopLevel:
         assert _run([]) == 2
 
     def test_python_dash_m(self):
-        env = dict(os.environ)
-        src = str(Path(arborchar.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-m", "arborchar", "components", "D([1/1] *v [1/2])"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = _run_fresh(["components", "D([1/1] *v [1/2])"])
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout.strip() == "1"

@@ -132,13 +132,13 @@ class TestFrozenConventions:
 
     def test_side_traces_agree(self):
         # tr(x_nw x_sw) = tr(x_ne x_se) on every built tangle
-        from arborchar.oracle import _tr2
+        from arborchar.mat2 import trace_of_product as tr
 
         rng = random.Random(17)
         t = sample_t(rng)
         for text in ("[2] *v [3]", "[1/2] *h [3]", "[[2],[-2]] *v [2]"):
             rep = build_tangle_rep(parse(text), t, rng)
-            assert abs(_tr2(rep.x_nw, rep.x_sw) - _tr2(rep.x_ne, rep.x_se)) < 1e-7
+            assert abs(tr(rep.x_nw, rep.x_sw) - tr(rep.x_ne, rep.x_se)) < 1e-7
             assert rep.boundary_residual() < 1e-7
 
     def test_closure_rejected(self):
