@@ -8,17 +8,18 @@ load the matrix module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from . import _Record
 
 Number = Union[int, Fraction, float, complex]
 
 
-@dataclass(frozen=True)
-class ChebyshevPair:
+class ChebyshevPair(_Record):
     """omega_n and theta_n at a common argument r = eta + 1/eta."""
 
+    __slots__ = ("omega", "theta")
     omega: Number
     theta: Number
 

@@ -12,8 +12,7 @@ coordinate; closures turn the shared data into polynomial equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import _Record
 from .chebyshev import chebyshev
 from .errors import DomainError, StructureError, WrongEngineError
 from .ratfun import FactoredRatFun, MultiPoly, RatFun, clear_denominators
@@ -47,8 +46,7 @@ def _t() -> RatFun:
     return RatFun.var("t")
 
 
-@dataclass(frozen=True)
-class InvariantData:
+class InvariantData(_Record):
     """Per-subtangle symbolic record.
 
     vars lists the retained twist-region variables in depth-first order;
@@ -59,17 +57,18 @@ class InvariantData:
     left that divides both numerator and denominator.
     """
 
+    __slots__ = ("vars", "u", "udot", "ucheck", "constraints", "exclusions", "notes")
+    _defaults = ((), (), ())  # constraints, exclusions, notes
     vars: tuple[str, ...]
     u: RatFun
     udot: RatFun
     ucheck: RatFun
-    constraints: tuple[MultiPoly, ...] = ()
-    exclusions: tuple[MultiPoly, ...] = ()
-    notes: tuple[str, ...] = ()
+    constraints: tuple[MultiPoly, ...]
+    exclusions: tuple[MultiPoly, ...]
+    notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Emitted character-variety data: denominator-free equations plus the
     genericity loci they are taken relative to.
 
@@ -78,12 +77,14 @@ class Presentation:
     closure have no variable).  It is not part of the JSON payload.
     """
 
+    __slots__ = ("variables", "equations", "exclusions", "notes", "traces", "regions")
+    _defaults = ((), ())  # traces, regions
     variables: tuple[str, ...]
     equations: tuple[MultiPoly, ...]
     exclusions: tuple[MultiPoly, ...]
     notes: tuple[str, ...]
-    traces: tuple[str, ...] = ()  # per-component trace variables (links)
-    regions: tuple[int, ...] = ()
+    traces: tuple[str, ...]  # per-component trace variables (links)
+    regions: tuple[int, ...]
 
     def to_json(self) -> dict:
         out = {

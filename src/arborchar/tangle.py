@@ -1,7 +1,8 @@
 """Tangle expressions: grammar, parser, printer, continued fractions,
 rational-tangle expansion, and component counts by tangle parity.
 
-Grammar (whitespace insensitive)::
+Grammar (whitespace between tokens is ignored, also inside "[[", "],[",
+"]]", "[1/", "*v", "*h", "D(" and "N("; not inside an integer)::
 
     expr   := ("D(" | "N(") tangle ")" | tangle
     tangle := atom | tangle ("*v" | "*h") tangle      (left-associative)
@@ -20,10 +21,10 @@ ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from . import _Record
 from .errors import TangleParseError
 
 # ---------------------------------------------------------------------------
@@ -31,39 +32,39 @@ from .errors import TangleParseError
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntTwist:
+class IntTwist(_Record):
     """[k] — a horizontal twist region of k crossings."""
 
+    __slots__ = ("k",)
     k: int
 
 
-@dataclass(frozen=True)
-class VertTwist:
+class VertTwist(_Record):
     """[1/k] — a vertical twist region of k crossings."""
 
+    __slots__ = ("k",)
     k: int
 
 
-@dataclass(frozen=True)
-class Rational:
+class Rational(_Record):
     """[[k1],...,[ks]] — a rational tangle given by its twist vector."""
 
+    __slots__ = ("ks",)
     ks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CompV:
+class CompV(_Record):
     """Vertical composition: right factor placed below the left one."""
 
+    __slots__ = ("left", "right")
     left: "TangleExpr"
     right: "TangleExpr"
 
 
-@dataclass(frozen=True)
-class CompH:
+class CompH(_Record):
     """Horizontal composition: right factor placed east of the left one."""
 
+    __slots__ = ("left", "right")
     left: "TangleExpr"
     right: "TangleExpr"
 
@@ -71,8 +72,10 @@ class CompH:
 TangleExpr = Union[IntTwist, VertTwist, Rational, CompV, CompH]
 
 
-@dataclass(frozen=True)
-class ClosureExpr:
+class ClosureExpr(_Record):
+    """D(body) or N(body) — the denominator or numerator closure."""
+
+    __slots__ = ("kind", "body")
     kind: str  # "D" or "N"
     body: TangleExpr
 
@@ -112,14 +115,23 @@ class _Parser:
         while self.i < len(self.text) and self.text[self.i].isspace():
             self.i += 1
 
-    def peek(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.i)
+    def accept(self, token: str) -> bool:
+        """Read token if the text continues with it, whitespace allowed
+        before each of its characters: "[ 1 / 2 ]" reads as "[1/" 2 "]"."""
+        text, j = self.text, self.i
+        for ch in token:
+            while j < len(text) and text[j].isspace():
+                j += 1
+            if not text.startswith(ch, j):
+                return False
+            j += 1
+        self.i = j
+        return True
 
-    def expect(self, s: str) -> None:
-        if not self.peek(s):
-            raise TangleParseError(f"expected {s!r}", self.i)
-        self.i += len(s)
+    def expect(self, token: str) -> None:
+        if not self.accept(token):
+            self.skip_ws()
+            raise TangleParseError(f"expected {token!r}", self.i)
 
     def parse_int(self) -> int:
         self.skip_ws()
@@ -137,8 +149,7 @@ class _Parser:
 
     def parse_expr(self) -> ClosureExpr | TangleExpr:
         for kind in ("D", "N"):
-            if self.peek(kind + "("):
-                self.expect(kind + "(")
+            if self.accept(kind + "("):
                 body = self.parse_tangle()
                 self.expect(")")
                 self.skip_ws()
@@ -154,53 +165,46 @@ class _Parser:
     def parse_tangle(self) -> TangleExpr:
         node = self.parse_atom()
         while True:
-            if self.peek("*v"):
-                self.expect("*v")
+            if self.accept("*v"):
                 node = CompV(node, self.parse_atom())
-            elif self.peek("*h"):
-                self.expect("*h")
+            elif self.accept("*h"):
                 node = CompH(node, self.parse_atom())
             else:
                 return node
 
     def parse_atom(self) -> TangleExpr:
-        if self.peek("("):
+        self.skip_ws()
+        start = self.i
+        if self.accept("("):
             self.nesting += 1
             if self.nesting > MAX_DEPTH:
                 raise TangleParseError(
-                    f"parentheses nested deeper than {MAX_DEPTH}", self.i
+                    f"parentheses nested deeper than {MAX_DEPTH}", start
                 )
-            self.expect("(")
             node = self.parse_tangle()
             self.expect(")")
             self.nesting -= 1
             return node
-        if self.peek("[["):
-            start = self.i
-            self.expect("[[")
-            ks = [self._rational_entry(start)]
-            while self.peek("],["):
-                self.expect("],[")
-                ks.append(self._rational_entry(start))
+        if self.accept("[["):
+            ks = [self._rational_entry()]
+            while self.accept("],["):
+                ks.append(self._rational_entry())
             self.expect("]]")
             return Rational(tuple(ks))
-        if self.peek("[1/"):
-            start = self.i
-            self.expect("[1/")
+        if self.accept("[1/"):
             k = self.parse_int()
             _check_twist(k, start)
             self.expect("]")
             return VertTwist(k)
-        if self.peek("["):
-            start = self.i
-            self.expect("[")
+        if self.accept("["):
             k = self.parse_int()
             _check_twist(k, start)
             self.expect("]")
             return IntTwist(k)
-        raise TangleParseError("expected a tangle atom", self.i)
+        raise TangleParseError("expected a tangle atom", start)
 
-    def _rational_entry(self, start: int) -> int:
+    def _rational_entry(self) -> int:
+        self.skip_ws()
         pos = self.i
         k = self.parse_int()
         _check_twist(k, pos)

@@ -297,11 +297,15 @@ def witness_family(
     """One quadruple per admissible t13 value, pairwise non-conjugate; each
     takes the first root of ``solve_s24``.
 
-    Side conditions: t avoids +-2 (|sqrt(t^2 - 4)| >= DIAG_FLOOR); t23, t34,
+    Side conditions: a1 and a2 lie in G(t), with trace t and determinant 1
+    to within TOL; t avoids +-2 (|sqrt(t^2 - 4)| >= DIAG_FLOOR); t23, t34,
     t14 avoid {2, t^2 - 2}; each t13 avoids {t23, t^2 - t23} and keeps the
     3x3 Gram determinant nonzero.
     """
     tc = complex(t)
+    for name, a in (("a1", a1), ("a2", a2)):
+        if abs(complex(a.trace()) - tc) > TOL or not a.in_G():
+            raise GenericityError(f"{name} must have trace t and determinant 1")
     if abs(cmath.sqrt(tc * tc - 4)) < DIAG_FLOOR:
         raise GenericityError("t must avoid +-2")
     for name, val in (("t23", t23), ("t34", t34), ("t14", t14)):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -171,6 +172,11 @@ CLI_MODULES = {"arborchar", "arborchar.errors", "arborchar.tangle", "arborchar.r
                "arborchar.invariants", "arborchar.chebyshev", "arborchar.cli"}
 
 
+# standard modules that cost a fresh process milliseconds to import and
+# that emit does not need
+SLOW_STDLIB = {"dataclasses", "inspect"}
+
+
 def _arborchar_modules(modules: set[str]) -> set[str]:
     return {m for m in modules if m.split(".")[0] == "arborchar"}
 
@@ -195,6 +201,29 @@ class TestImportGraph:
     def test_components_loads_no_more_than_emit(self):
         loaded = _modules_after([["components", "D([1/1] *v [1/2])"]])
         assert _arborchar_modules(loaded) == CLI_MODULES
+
+    def test_emit_and_components_load_no_dataclasses(self, tmp_path):
+        out = str(tmp_path / "out.json")
+        loaded = _modules_after([
+            ["emit", "--format", "json", "--out", out, "D([1/1] *v [1/2])"],
+            ["components", "D([1/1] *v [1/2])"],
+        ])
+        assert not loaded & SLOW_STDLIB
+
+    def test_emit_link_loads_no_dataclasses(self, tmp_path):
+        out = str(tmp_path / "out.json")
+        loaded = _modules_after(
+            [["emit", "--format", "json", "--out", out, "--link", "D([3] *v [3] *v [3] *v [3])"]]
+        )
+        assert not loaded & SLOW_STDLIB
+
+    def test_cli_modules_do_not_import_dataclasses(self):
+        for name in sorted(CLI_MODULES):
+            tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text())
+            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names}
+            imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+            assert "dataclasses" not in imported, name
 
     def test_verify_loads_oracle_and_mat2(self):
         loaded = _modules_after([["verify", "--suite", "identities", "--samples", "2"]])
@@ -399,6 +428,14 @@ class TestWitness:
                         '"a2": [[1, 0], [0, 0], [1, 0], [1, 0]]}')
         assert _run(self.ARGS + ["--t13-count", "2", "--pair-file", str(pair)]) == EXIT_INPUT
         assert "non-finite entry" in capsys.readouterr().err
+
+    def test_pair_off_trace_t_is_an_input_error(self, tmp_path, capsys):
+        # trace 2 against --t 2.6+0.3j: refused before any construction
+        pair = tmp_path / "pair.json"
+        pair.write_text('{"a1": [[1, 0], [1, 0], [0, 0], [1, 0]], '
+                        '"a2": [[1, 0], [0, 0], [1, 0], [1, 0]]}')
+        assert _run(self.ARGS + ["--t13-count", "2", "--pair-file", str(pair)]) == EXIT_INPUT
+        assert "a1 must have trace t and determinant 1" in capsys.readouterr().err
 
     def test_readme_call_matches_golden(self, capsys):
         """The README's witness call prints ``tests/golden/witness-seed1.json``

@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +15,9 @@ import pytest
 from arborchar import invariants
 from arborchar.errors import DomainError, StructureError, WrongEngineError
 from arborchar.invariants import (
+    InvariantData,
     InvariantEngine,
+    Presentation,
     _glue,
     _rewrite_check,
     _shared,
@@ -130,8 +131,8 @@ class TestCompose:
         p = (_t() * _t() - 3).num
         out2 = compose(
             "v",
-            replace(I1, constraints=(p,), notes=("p",)),
-            replace(I2, constraints=(-p,), notes=("-p",)),
+            InvariantData(I1.vars, I1.u, I1.udot, I1.ucheck, (p,), I1.exclusions, ("p",)),
+            InvariantData(I2.vars, I2.u, I2.udot, I2.ucheck, (-p,), I2.exclusions, ("-p",)),
         )
         assert out2.constraints == (p,) + out.constraints
 
@@ -225,6 +226,34 @@ def test_invariants_leaves_variable_indices_to_ratfun():
     assert "RatFun" in imported
     assert [name for name in imported if name == "REGISTRY" or name.startswith("_")] == []
     assert "REGISTRY" not in source
+
+
+class TestRecords:
+    def test_keywords_and_defaults(self):
+        u = _t()
+        rec = InvariantData(vars=("q",), u=u, udot=u, ucheck=u)
+        assert rec == InvariantData(("q",), u, u, u, (), (), ())
+        assert (rec.constraints, rec.exclusions, rec.notes) == ((), (), ())
+        p = (u * u - 3).num
+        pres = Presentation(("t",), (p,), exclusions=(), notes=("p",))
+        assert pres == Presentation(("t",), (p,), (), ("p",), (), ())
+        assert (pres.traces, pres.regions) == ((), ())
+        assert Presentation(("t",), (p,), (), ("p",), regions=(0,)).regions == (0,)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda u: InvariantData(("q",), u, u),
+            lambda u: InvariantData(("q",), u, u, u, vars=("q",)),
+            lambda u: InvariantData(("q",), u, u, u, extra=()),
+            lambda u: Presentation(("t",), (), ()),
+            lambda u: Presentation(("t",), (), (), (), (), (), ()),
+        ],
+        ids=["missing", "repeated", "unknown", "missing-notes", "too-many"],
+    )
+    def test_bad_arguments_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build(_t())
 
 
 class TestEngine:

@@ -1,5 +1,7 @@
 """Tangle grammar, printer, rational expansion, and connectivity."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -50,6 +52,31 @@ class TestParser:
     def test_whitespace_insensitive(self):
         assert parse(" D( [2]*v[1/3] ) ") == parse("D([2] *v [1/3])")
 
+    @pytest.mark.parametrize(
+        "spaced, compact",
+        [
+            ("D([[2], [3]] *v [1/2])", "D([[2],[3]] *v [1/2])"),
+            ("D([[2] ,[3]] *v [1/2])", "D([[2],[3]] *v [1/2])"),
+            ("D([1 /2] *v [1/3])", "D([1/2] *v [1/3])"),
+            ("[ 1 ]", "[1]"),
+            ("[ 1 / 2 ]", "[1/2]"),
+            ("[ [2] , [3] ]", "[[2],[3]]"),
+            ("N ( [2] * h [ 1/-3 ] )", "N([2] *h [1/-3])"),
+        ],
+    )
+    def test_whitespace_inside_tokens(self, spaced, compact):
+        assert parse(spaced) == parse(compact)
+
+    @pytest.mark.parametrize(
+        "bad, position",
+        [("[ 1 / 0 ]", 0), ("[[2] , [ 0 ]]", 9), ("[1 2]", 3), ("[ [2] , [3] ] junk", 14)],
+    )
+    def test_spaced_error_positions(self, bad, position):
+        with pytest.raises(TangleParseError) as info:
+            parse(bad)
+        assert info.value.position == position
+        assert 0 <= position < len(bad)
+
     def test_errors_carry_position(self):
         for bad in ("", "[0]", "[1/0]", "[2] *v", "D([2]", "[2] junk", "[[2],[0]]"):
             with pytest.raises(TangleParseError):
@@ -94,6 +121,50 @@ class TestParser:
         for bad in (rational(MAX_DEPTH + 1), nested(MAX_DEPTH + 1)):
             with pytest.raises(TangleParseError, match=f"deeper than {MAX_DEPTH}"):
                 parse(bad)
+
+
+class TestRecords:
+    """Tree nodes behave as frozen dataclasses with their fields would."""
+
+    def test_repr(self):
+        assert repr(parse("D([1/1] *v [1/2])")) == (
+            "ClosureExpr(kind='D', body=CompV(left=VertTwist(k=1), right=VertTwist(k=2)))"
+        )
+        assert repr(Rational((2, -3))) == "Rational(ks=(2, -3))"
+
+    def test_equality_needs_the_same_class(self):
+        a, b = IntTwist(1), VertTwist(2)
+        assert IntTwist(3) != VertTwist(3)
+        assert CompV(a, b) != CompH(a, b)
+        assert CompV(a, b) == CompV(IntTwist(1), VertTwist(2))
+        assert IntTwist(3) != (3,)
+
+    def test_hash_is_that_of_the_field_tuple(self):
+        assert hash(IntTwist(3)) == hash((3,))
+        assert hash(CompV(IntTwist(1), VertTwist(2))) == hash((IntTwist(1), VertTwist(2)))
+        assert len({IntTwist(3), IntTwist(3), VertTwist(3)}) == 2
+
+    def test_keywords(self):
+        assert ClosureExpr(kind="N", body=IntTwist(k=2)) == ClosureExpr("N", IntTwist(2))
+        with pytest.raises(TypeError):
+            CompV(IntTwist(1))
+        with pytest.raises(TypeError):
+            IntTwist(k=1, j=2)
+
+    def test_frozen(self):
+        e = IntTwist(3)
+        with pytest.raises(AttributeError):
+            e.k = 4
+        with pytest.raises(AttributeError):
+            del e.k
+        with pytest.raises(AttributeError):
+            e.extra = 1
+        assert e == IntTwist(3)
+
+    def test_copy_and_pickle(self):
+        e = parse("D([[2],[-2]] *v [2] *v ([1/3] *h [1/2]))")
+        assert copy.deepcopy(e) == e
+        assert pickle.loads(pickle.dumps(e)) == e
 
 
 class TestRational:

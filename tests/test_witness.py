@@ -173,6 +173,15 @@ class TestFamily:
         with pytest.raises(GenericityError):
             witness_family(a1, a2, T, t23=2.0 + 0j, t34=1.0, t14=1.0, t13_samples=[1.0])
 
+    def test_pair_outside_G_t_rejected(self):
+        a1, a2 = _pair()
+        off_det = Mat2(a1.a11, 1.01 * a1.a12, a1.a21, a1.a22)
+        off_trace = a1 + Mat2.identity().scale(1e-6)
+        for bad in (off_det, off_trace):
+            with pytest.raises(GenericityError, match="a1 must have trace t"):
+                witness_family(bad, a2, T, t23=0.7 + 0.9j, t34=-0.8 + 0.4j,
+                               t14=-0.7 + 0.5j, t13_samples=[1.1 + 0.2j])
+
     def test_json_shape(self):
         a1, a2 = _pair()
         fam = witness_family(
