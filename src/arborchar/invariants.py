@@ -5,12 +5,16 @@ as exact rational functions in the meridian trace t and one variable per
 twist region.  An InvariantEngine names the i-th twist region it meets
 r{i}, so two engines running the same expression give the same records,
 and regions are ordered by name alone (_region_key).
-Twist regions get closed forms through Chebyshev-like recursions;
+Twist regions get closed forms through Chebyshev-like recursions; each
+twist-region record is built once per process, and every engine that meets
+the same atom as the same region shares it (base_invariants);
 compositions combine triples through the f/g rules, sharing one
 coordinate; closures turn the shared data into polynomial equations.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import _Record
 from .chebyshev import chebyshev
@@ -142,20 +146,36 @@ def alpha(k: int, r: RatFun) -> RatFun:
 
 def base_invariants(atom: TangleExpr, var_name: str) -> InvariantData:
     """Closed-form triple for a single twist region [k] or [1/k], whose
-    trace is the variable var_name."""
+    trace is the variable var_name.
+
+    Every call with the same kind of atom, k and var_name returns the same
+    record object, built once per process (see _twist_record)."""
     if not isinstance(atom, (IntTwist, VertTwist)):
         raise DomainError("base_invariants expects a twist atom")
     if atom.k == 0:
         raise DomainError("twist parameter must be nonzero")
     if abs(atom.k) > MAX_TWIST:
         raise DomainError(f"twist region with more than {MAX_TWIST} crossings")
+    return _twist_record(type(atom), atom.k, var_name)
+
+
+@functools.cache
+def _twist_record(kind: type, k: int, var_name: str) -> InvariantData:
+    """The record of base_invariants, for a validated atom.
+
+    The cache holds values of a pure function, so sharing them cannot
+    change any output: records and polynomials are never changed in place,
+    and the variable registry is append-only, so a cached record's exponents
+    keep their meaning; a registry per computation would have to be part
+    of the key.  The keys are bounded by the two atom kinds,
+    |k| <= MAX_TWIST and the region names r1..rn an engine uses."""
     r = RatFun.var(var_name)
     rp = r.as_poly()
     t = MultiPoly.var("t")
-    om = chebyshev(atom.k, -rp).omega
+    om = chebyshev(k, -rp).omega
     ucheck = RatFun((2 - rp) * (rp + 2 - t * t) * om)
-    ak = alpha(atom.k, r)
-    if isinstance(atom, VertTwist):
+    ak = alpha(k, r)
+    if issubclass(kind, VertTwist):
         u, udot = r, ak
     else:
         u, udot = ak, r

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import RESIDUAL_TOL, SUITE_NAMES
 from .errors import ConditioningError, DomainError
-from .invariants import InvariantData, Presentation, base_invariants, closure_equations
+from .invariants import Presentation, base_invariants, closure_equations
 from .mat2 import (
     IDENTITY,
     Mat2,
@@ -769,11 +769,6 @@ def _suite_reducible(rng: random.Random) -> float:
     return 0.0 if flag == eig else 1.0
 
 
-@functools.lru_cache(maxsize=16)  # the base suite's twist atoms
-def _base_data(atom: TangleExpr) -> InvariantData:
-    return base_invariants(atom, var_name="r")
-
-
 def _suite_base(rng: random.Random) -> float:
     t = sample_t(rng)
     res = 0.0
@@ -782,7 +777,7 @@ def _suite_base(rng: random.Random) -> float:
             r = _generic_param(rng, t)
             x, y = conditioned_pair(t, r, rng)
             rep = twist_rep(atom, x, y, t)
-            data = _base_data(atom)
+            data = base_invariants(atom, var_name="r")
             pt = {"t": t, "r": r}
             exp_u = complex(data.u.eval_numeric(pt))
             exp_ud = complex(data.udot.eval_numeric(pt))

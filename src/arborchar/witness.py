@@ -298,20 +298,26 @@ def witness_family(
     takes the first root of ``solve_s24``.
 
     Side conditions: a1 and a2 lie in G(t), with trace t and determinant 1
-    to within TOL; t avoids +-2 (|sqrt(t^2 - 4)| >= DIAG_FLOOR); t23, t34,
-    t14 avoid {2, t^2 - 2}; each t13 avoids {t23, t^2 - t23} and keeps the
-    3x3 Gram determinant nonzero.
+    to within TOL, and do not commute; t avoids +-2 (|sqrt(t^2 - 4)| >=
+    DIAG_FLOOR); t23, t34, t14 avoid {2, t^2 - 2}; the t13 values differ
+    pairwise by more than TOL; each t13 avoids {t23, t^2 - t23} and keeps
+    the 3x3 Gram determinant nonzero.
     """
     tc = complex(t)
     for name, a in (("a1", a1), ("a2", a2)):
         if abs(complex(a.trace()) - tc) > TOL or not a.in_G():
             raise GenericityError(f"{name} must have trace t and determinant 1")
+    if (a1 @ a2 - a2 @ a1).norm() <= TOL:
+        raise GenericityError("a1 and a2 must not commute")
     if abs(cmath.sqrt(tc * tc - 4)) < DIAG_FLOOR:
         raise GenericityError("t must avoid +-2")
     for name, val in (("t23", t23), ("t34", t34), ("t14", t14)):
         for bad in (2, t * t - 2):
             if abs(complex(val) - complex(bad)) <= TOL:
                 raise GenericityError(f"{name} must avoid {{2, t^2 - 2}}")
+    t13s = [complex(v) for v in t13_samples]
+    if any(abs(a - b) <= TOL for i, a in enumerate(t13s) for b in t13s[:i]):
+        raise GenericityError("t13 values must differ pairwise")
     out = []
     for t13 in t13_samples:
         a3 = third_with_traces(a1, a2, t, t13, t23)

@@ -437,6 +437,26 @@ class TestWitness:
         assert _run(self.ARGS + ["--t13-count", "2", "--pair-file", str(pair)]) == EXIT_INPUT
         assert "a1 must have trace t and determinant 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["equal", "inverse"])
+    def test_commuting_pair_is_an_input_error(self, which, tmp_path, capsys):
+        # a1 = [[t, -1], [1, 0]] lies in G(t); a2 is a1 or its inverse, so
+        # the pair commutes: a side condition, not a verification failure
+        t = complex(self.ARGS[2])
+        a1 = [[t.real, t.imag], [-1, 0], [1, 0], [0, 0]]
+        a2 = a1 if which == "equal" else [[0, 0], [1, 0], [-1, 0], [t.real, t.imag]]
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"a1": a1, "a2": a2}))
+        assert _run(self.ARGS + ["--t13-count", "2", "--pair-file", str(pair)]) == EXIT_INPUT
+        assert "a1 and a2 must not commute" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t13", ["1+1j,1+1j", "1.1+0.2j,0.6-0.5j,1.1+0.2j"])
+    def test_repeated_t13_is_an_input_error(self, t13, capsys):
+        # a repeated value would list the same quadruple twice with a zero gap
+        assert _run(self.ARGS + ["--t13", t13]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "t13 values must differ pairwise" in captured.err
+
     def test_readme_call_matches_golden(self, capsys):
         """The README's witness call prints ``tests/golden/witness-seed1.json``
         byte for byte."""

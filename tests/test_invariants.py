@@ -30,7 +30,15 @@ from arborchar.invariants import (
     tangle_invariants,
 )
 from arborchar.ratfun import MultiPoly, RatFun, pseudo_reduce
-from arborchar.tangle import CompV, IntTwist, Rational, VertTwist, expand_rational, parse
+from arborchar.tangle import (
+    MAX_TWIST,
+    CompV,
+    IntTwist,
+    Rational,
+    VertTwist,
+    expand_rational,
+    parse,
+)
 from ratfun_helpers import reduce_by
 from test_acceptance import _random_closure
 
@@ -275,6 +283,102 @@ class TestEngine:
     def test_tangle_invariants_renames(self):
         d = tangle_invariants(parse("[2] *v [3]"))
         assert d.vars == ("r1", "r2")
+
+
+def _layout(rec: InvariantData) -> tuple:
+    """A record's fields with every polynomial as its list of terms, so that
+    two records compare equal only with the same term order."""
+    def terms(p):
+        return list(p.terms.items())
+
+    return (
+        rec.vars,
+        [(terms(f.num), terms(f.den)) for f in (rec.u, rec.udot, rec.ucheck)],
+        [terms(p) for p in rec.constraints],
+        [terms(p) for p in rec.exclusions],
+        rec.notes,
+    )
+
+
+def _twist_atoms(expr) -> list:
+    """The twist atoms of a tangle, in the order an engine runs them."""
+    if isinstance(expr, Rational):
+        expr = expand_rational(expr.ks)
+    if isinstance(expr, (IntTwist, VertTwist)):
+        return [expr]
+    return _twist_atoms(expr.left) + _twist_atoms(expr.right)
+
+
+class TestTwistRecordCache:
+    """base_invariants builds each (atom kind, k, region name) record once per
+    process; the cached record must stay what a fresh build gives."""
+
+    ATOMS = [kind(k) for kind in (IntTwist, VertTwist) for k in (-3, -1, 1, 2, 5)]
+
+    @staticmethod
+    def _fresh(kind, k, name):
+        return invariants._twist_record.__wrapped__(kind, k, name)
+
+    @pytest.mark.parametrize("atom", ATOMS, ids=repr)
+    def test_cached_record_is_a_fresh_build(self, atom):
+        first = base_invariants(atom, "rc1")
+        assert base_invariants(type(atom)(atom.k), "rc1") is first
+        fresh = self._fresh(type(atom), atom.k, "rc1")
+        assert fresh is not first
+        assert _layout(fresh) == _layout(first)
+
+    def test_engines_share_records(self):
+        a, b = InvariantEngine(), InvariantEngine()
+        a.run(parse("[3] *v [1/2]"))
+        b.run(parse("[3] *v [1/2]"))
+        assert a.history[0] is b.history[0] and a.history[1] is b.history[1]
+        assert a.history[2] is not b.history[2]  # compositions are not cached
+        assert a.history[0] is not a.history[1]
+        assert base_invariants(IntTwist(3), "r2") is not a.history[0]  # region is in the key
+
+    def test_records_survive_repeated_emits(self):
+        # the benchmark's six stream knots and the small ladder knots,
+        # emitted twice in this process: the second pass reuses every twist
+        # record of the first, and afterwards each cached record is still
+        # what a fresh build gives, term order included
+        stream = ["D([1/2] *v [1/3])", "D([3] *v [1/-2])", "D([1/-3] *v [1/3] *v [1/1])"]
+        exprs = [golden.KNOTS[name][0] for name in SMALL_KNOTS] + stream
+        passes, keys = [], set()
+        for _ in range(2):
+            out = []
+            for expr in exprs:
+                eng = InvariantEngine()
+                out.append(closure_equations(parse(expr), eng).to_json())
+                atoms = _twist_atoms(parse(expr).body)
+                keys.update((type(a), a.k, name)
+                            for a, name in zip(atoms, eng.atom_vars, strict=True))
+            passes.append(out)
+        assert passes[0] == passes[1]
+        for name, payload in zip(SMALL_KNOTS, passes[0]):
+            assert payload == golden.stored(name), name
+        cache = invariants._twist_record
+        size = cache.cache_info().currsize
+        for key in sorted(keys, key=repr):
+            assert _layout(cache(*key)) == _layout(self._fresh(*key)), key
+        assert cache.cache_info().currsize == size  # every key was cached
+
+    @pytest.mark.parametrize(
+        "atom",
+        [CompV(IntTwist(2), IntTwist(3)), Rational((2, 3)), IntTwist(0), VertTwist(0),
+         IntTwist(MAX_TWIST + 1), VertTwist(-MAX_TWIST - 1)],
+        ids=repr,
+    )
+    def test_rejected_atoms_leave_no_entry(self, atom):
+        size = invariants._twist_record.cache_info().currsize
+        with pytest.raises(DomainError):
+            base_invariants(atom, "rbad")
+        assert invariants._twist_record.cache_info().currsize == size
+
+    def test_oracle_keyword_call(self):
+        # the oracle's base suite asks for base_invariants(atom, var_name="r")
+        rec = base_invariants(VertTwist(-2), var_name="r")
+        assert rec is base_invariants(VertTwist(-2), "r")
+        assert _layout(rec) == _layout(self._fresh(VertTwist, -2, "r"))
 
 
 def _sign_repeats(polys) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -258,21 +259,21 @@ class TestSuites:
             assert asserts == [], (path.name, asserts)
 
     def test_base_builds_each_twist_triple_once(self, monkeypatch):
+        # the suite asks for its 16 twist records in every sample; the
+        # engine builds each (kind, k, region) record once per process
+        from arborchar import invariants
+
         calls = []
-        real = oracle.base_invariants
+        build = invariants._twist_record.__wrapped__
 
-        def counting(atom, var_name):
-            calls.append(atom)
-            return real(atom, var_name)
+        def counting(*key):
+            calls.append(key)
+            return build(*key)
 
-        monkeypatch.setattr(oracle, "base_invariants", counting)
-        oracle._base_data.cache_clear()
-        try:
-            rep = run_suite("base", seed=0)
-        finally:
-            oracle._base_data.cache_clear()
+        monkeypatch.setattr(invariants, "_twist_record", functools.cache(counting))
+        rep = run_suite("base", seed=0)
         assert rep.passed, rep.failures
-        assert len(calls) == len(set(calls)) <= 16
+        assert len(calls) == len(set(calls)) == 16
 
     def test_pretzel_rejections_pinned(self):
         # every rejection comes from the closed-form cubic and the secant,

@@ -182,6 +182,28 @@ class TestFamily:
                 witness_family(bad, a2, T, t23=0.7 + 0.9j, t34=-0.8 + 0.4j,
                                t14=-0.7 + 0.5j, t13_samples=[1.1 + 0.2j])
 
+    def test_commuting_pair_is_a_side_condition(self):
+        # a1 and its inverse lie in G(t) and commute: refused up front, as
+        # the other side conditions are, not by the construction of a3
+        a1, _ = _pair()
+        for a2 in (a1, a1.inv()):
+            with pytest.raises(GenericityError, match="a1 and a2 must not commute"):
+                witness_family(a1, a2, T, t23=0.7 + 0.9j, t34=-0.8 + 0.4j,
+                               t14=-0.7 + 0.5j, t13_samples=[1.1 + 0.2j])
+
+    @pytest.mark.parametrize(
+        "t13s",
+        [[1.1 + 0.2j, 1.1 + 0.2j], [1.1 + 0.2j, 0.6 - 0.5j, 1.1 + 0.2j + 5e-10j]],
+        ids=["equal", "within-tol"],
+    )
+    def test_repeated_t13_rejected(self, t13s):
+        # two equal t13 values would give the same quadruple twice, and the
+        # members must be pairwise non-conjugate
+        a1, a2 = _pair()
+        with pytest.raises(GenericityError, match="t13 values must differ pairwise"):
+            witness_family(a1, a2, T, t23=0.7 + 0.9j, t34=-0.8 + 0.4j,
+                           t14=-0.7 + 0.5j, t13_samples=t13s)
+
     def test_json_shape(self):
         a1, a2 = _pair()
         fam = witness_family(
