@@ -7,7 +7,9 @@ A subcommand loads only the modules it runs.  Importing this module loads
 `witness`) and `witness` are imported on the first call of the function
 that needs them.  JSON output is written by `_json_text`, which gives the
 bytes of `json.dumps(obj, indent=2)` without the standard encoder's
-pure-Python indenting path.
+pure-Python indenting path.  `emit --format json` hands it the
+presentation's fields with the polynomials unconverted, and each
+`MultiPoly` writes its own text straight from its sorted terms.
 
 Exit codes: 0 success, 2 input/validation error, 3 unsupported scope,
 4 verification failure.
@@ -29,6 +31,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .invariants import Presentation, closure_equations
+from .ratfun import MultiPoly
 from .tangle import ClosureExpr, component_count, parse
 
 
@@ -119,8 +122,10 @@ def _json_text(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte.
 
     Dicts with str keys, lists, tuples, strs and ints are written here, a
-    list of plain ints in one join; every other value (float, bool, None)
-    goes to `json.dumps`.  A bool is never written as an int.
+    list of plain ints in one join, and a `MultiPoly` writes itself as its
+    `to_json()` dict (`MultiPoly._json_text`), so that emit never builds
+    the per-term dicts; every other value (float, bool, None) goes to
+    `json.dumps`.  A bool is never written as an int.
     """
     parts: list[str] = []
     _write_json(obj, "\n", parts.append)
@@ -151,6 +156,8 @@ def _write_json(obj, nl: str, out) -> None:
             _write_json(value, inner, out)
             sep = "," + inner
         out(nl + "}")
+    elif type(obj) is MultiPoly:
+        out(obj._json_text(nl))
     else:
         out(json.dumps(obj))
 
@@ -188,7 +195,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         # a gluing degenerate at every point (a pinned shared coordinate)
         _fail(EXIT_UNSUPPORTED, f"the generic gluing does not cover this input: {exc}")
     if args.format == "json":
-        payload = pres.to_json()
+        payload = pres._json_fields(lambda p: p)
         payload["provenance"] = _provenance(expr=text)
         _write_output(_json_text(payload), args.out)
     else:

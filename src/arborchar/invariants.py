@@ -15,6 +15,7 @@ coordinate; closures turn the shared data into polynomial equations.
 from __future__ import annotations
 
 import functools
+from typing import Callable
 
 from . import _Record
 from .chebyshev import chebyshev
@@ -91,10 +92,16 @@ class Presentation(_Record):
     regions: tuple[int, ...]
 
     def to_json(self) -> dict:
+        return self._json_fields(MultiPoly.to_json)
+
+    def _json_fields(self, poly: Callable[[MultiPoly], object]) -> dict:
+        """The JSON payload's fields in their order, each polynomial p given
+        as poly(p): `to_json` passes `MultiPoly.to_json`, and the CLI keeps
+        the polynomials, which its JSON writer writes itself."""
         out = {
             "variables": list(self.variables),
-            "equations": [p.to_json() for p in self.equations],
-            "exclusions": [p.to_json() for p in self.exclusions],
+            "equations": list(map(poly, self.equations)),
+            "exclusions": list(map(poly, self.exclusions)),
             "notes": list(self.notes),
         }
         if self.traces:

@@ -14,8 +14,9 @@ one operation (``_Packing``; Johnson, SIGSAM Bull. 1974; Monagan and
 Pearce, CASC 2007): a total-degree field, then one field per variable, each
 with a guard bit.  A product of monomials is then an int sum, a
 divisibility test is one mask, and int order is the monomial order, which
-``leading`` and ``sorted_terms`` use as well.  Operands and results keep
-their tuple keys.  A factor with a single term is applied as an exponent
+``leading``, ``sorted_terms`` and the JSON writers (``to_json`` and the
+text that ``arborchar emit`` writes) use as well.  Operands and results
+keep their tuple keys.  A factor with a single term is applied as an exponent
 shift and a coefficient scale, without packing: no two of its products can
 collide.  ``FactoredRatFun`` keeps a rational scalar apart from its
 numerator, so the integer numerators that ``RatFun`` normalises to stay
@@ -48,11 +49,13 @@ so all of them can share ``_ONE``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd, lcm
-from operator import add, and_, lshift
-from typing import Collection, Iterable, Iterator, Mapping, Union
+from operator import add, and_, itemgetter, lshift, or_
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ConditioningError, DomainError
 
@@ -178,16 +181,29 @@ class _Packing:
             low = (sum(map(lshift, e, shifts)) for e in exps)
         return map(add, low, map(lshift, map(sum, exps), repeat(self._top)))
 
-    def unpack(self, keys: Iterable[int]) -> Iterator[tuple[int, ...]]:
-        """The trimmed exponent tuples of packed monomials, in their order."""
+    def fields(self, keys: Iterable[int]) -> Iterator[Sequence[int]]:
+        """The exponent fields of packed monomials, in their order: for each,
+        one exponent per variable of the packing's width, trailing zeros
+        included, so that a variable's exponent is at its registry position.
+        With one-byte fields these are ``bytes``, else tuples."""
         size = self._bytes
         # the exponent fields, without the degree field above them
         fields = map(int.to_bytes, map(and_, keys, repeat((1 << self._top) - 1)),
                      repeat(size * self._width), repeat("big"))
         if size == 1:
-            return map(tuple, map(bytes.rstrip, fields, repeat(b"\0")))
-        return (_trim(tuple(map(add, map(lshift, f[::2], repeat(8)), f[1::2])))
-                for f in fields)
+            return fields
+        return (tuple(map(add, map(lshift, f[::2], repeat(8)), f[1::2])) for f in fields)
+
+    def unpack(self, keys: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        """The trimmed exponent tuples of packed monomials, in their order."""
+        if self._bytes == 1:
+            return map(tuple, map(bytes.rstrip, self.fields(keys), repeat(b"\0")))
+        return map(_trim, self.fields(keys))
+
+
+def _descending(keys: list[int]) -> list[int]:
+    """The positions of packed monomials in decreasing monomial order."""
+    return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
 
 
 class MultiPoly:
@@ -267,10 +283,28 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms in decreasing monomial order."""
-        keys = list(self._packing().pack(self.terms))
         items = list(self.terms.items())
-        order = sorted(range(len(items)), key=keys.__getitem__, reverse=True)
-        return [items[i] for i in order]
+        return [items[i] for i in _descending(list(self._packing().pack(self.terms)))]
+
+    def _rows(self) -> tuple[list[int], Iterator[Scalar], Iterator[Sequence[int]]]:
+        """The terms in decreasing monomial order, as the registry positions
+        that some term uses, then each term's coefficient, then each term's
+        exponents in the used variables: the one projection that both JSON
+        forms write."""
+        packing = self._packing()
+        keys = list(packing.pack(self.terms))
+        coefs = list(self.terms.values())
+        order = _descending(keys)
+        rows = packing.fields(map(keys.__getitem__, order))
+        # a field of the keys' bitwise or is nonzero when some term uses it
+        (mask,) = packing.fields([reduce(or_, keys, 0)])
+        used = list(compress(range(len(mask)), mask))
+        if len(used) < len(mask):
+            # a gap below the last used position; a one-item itemgetter
+            # would give an int, so the one-variable case takes a slice
+            project = itemgetter(*used) if len(used) > 1 else itemgetter(slice(used[0], used[0] + 1))
+            rows = map(project, rows)
+        return used, map(coefs.__getitem__, order), rows
 
     # -- arithmetic --------------------------------------------------------
 
@@ -529,9 +563,13 @@ class MultiPoly:
         """Positive rational c such that self/c has coprime integer coeffs."""
         if not self.terms:
             return 1
+        values = self.terms.values()
+        if all(map(isinstance, values, repeat(int))):
+            # the normalised case, in one call
+            return gcd(*values)
         num_gcd = 0
         den_lcm = 1
-        for c in self.terms.values():
+        for c in values:
             if type(c) is int:
                 num_gcd = gcd(num_gcd, c)
             else:
@@ -584,17 +622,41 @@ class MultiPoly:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        used = sorted(self._positions())
-        names = [REGISTRY.name(i) for i in used]
-        pos = {i: k for k, i in enumerate(used)}
-        terms = []
-        for exp, coef in self.sorted_terms():
-            proj = [0] * len(used)
-            for i, p in enumerate(exp):
-                if p:
-                    proj[pos[i]] = p
-            terms.append({"coef": str(coef), "exp": proj})
-        return {"vars": names, "terms": terms}
+        used, coefs, rows = self._rows()
+        return {
+            "vars": [REGISTRY.name(i) for i in used],
+            "terms": [{"coef": str(c), "exp": list(row)} for c, row in zip(coefs, rows)],
+        }
+
+    def _json_text(self, nl: str) -> str:
+        """``json.dumps(self.to_json(), indent=2)`` with ``nl[1:]`` before
+        every line but the first: the polynomial's text nested in a JSON
+        document whose current line prefix is nl.
+
+        Every term's text is one template, built once for the polynomial,
+        whose gaps are filled column by column: the coefficients, then the
+        exponents of each used variable from a table of decimal strings.
+        ``str.format`` on each term takes about twice as long: it parses the
+        template and converts every exponent anew."""
+        if not self.terms:
+            return "{" + nl + '  "vars": [],' + nl + '  "terms": []' + nl + "}"
+        used, coefs, rows = self._rows()
+        rows = list(rows)
+        n1, n2, n3, n4 = (nl + "  " * depth for depth in range(1, 5))
+        if used:
+            names = "[" + n2 + ("," + n2).join(map(_encode_str, map(REGISTRY.name, used))) + n1 + "]"
+            texts = ['",' + n3 + '"exp": [' + n4] + ["," + n4] * (len(used) - 1) + [n3 + "]" + n2 + "}"]
+        else:
+            names = "[]"
+            texts = ['",' + n3 + '"exp": []' + n2 + "}"]
+        decimal = list(map(str, range(self.total_degree() + 1)))
+        columns = [map(str, coefs)]
+        columns += [map(decimal.__getitem__, map(itemgetter(k), rows)) for k in range(len(used))]
+        pieces = [repeat("{" + n3 + '"coef": "')]
+        for column, text in zip(columns, texts):
+            pieces += column, repeat(text)
+        terms = ("," + n2).join(map("".join, zip(*pieces)))
+        return "{" + n1 + '"vars": ' + names + "," + n1 + '"terms": [' + n2 + terms + n1 + "]" + nl + "}"
 
     @staticmethod
     def from_json(data: dict) -> "MultiPoly":
@@ -620,8 +682,11 @@ _MIN_DEN = 1e-6
 class RatFun:
     """A fraction of MultiPolys, normalized by content only.
 
-    Equality is decided by exact cross-multiplication, never by comparing
-    representations.
+    ``equals`` is the exact mathematical test, by cross-multiplication.
+    ``==`` and ``hash`` compare the normalised representations (num, den),
+    as ``MultiPoly``'s do its terms: equal representations are equal
+    functions, but a fraction that is not reduced by a common polynomial
+    factor can equal another function without ``==``.
     """
 
     __slots__ = ("num", "den")
@@ -773,6 +838,14 @@ class RatFun:
         if n < 0:
             return RatFun(self.den, self.num) ** (-n)
         return RatFun(self.num**n, self.den**n)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatFun):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     # -- the spec surface ----------------------------------------------------
 

@@ -326,6 +326,8 @@ class TestTwistRecordCache:
         fresh = self._fresh(type(atom), atom.k, "rc1")
         assert fresh is not first
         assert _layout(fresh) == _layout(first)
+        # records compare by value: their RatFun fields compare (num, den)
+        assert fresh == first and hash(fresh) == hash(first)
 
     def test_engines_share_records(self):
         a, b = InvariantEngine(), InvariantEngine()

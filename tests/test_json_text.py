@@ -2,20 +2,35 @@
 
 `arborchar.cli._json_text` writes every JSON file and stream of the CLI
 (emit, witness, verify --out); the stored payloads and reports must stay
-byte-identical to what the standard encoder writes.
+byte-identical to what the standard encoder writes.  A `MultiPoly` in the
+payload writes its own text; it must be that of its `to_json()` dict, and
+`to_json()` that of the term loop kept here as the reference.
 """
 
 import json
 import lzma
 import math
 import random
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from arborchar.cli import EXIT_OK, _json_text, main
+from arborchar.cli import EXIT_OK, _json_text, link_presentation, main
+from arborchar.errors import UnsupportedShapeError
+from arborchar.invariants import closure_equations
+from arborchar.ratfun import REGISTRY, MultiPoly
+from arborchar.tangle import parse
+from test_acceptance import _random_closure
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests" / "golden"))
+import make_golden as golden  # noqa: E402
+
+STREAM_KNOTS = ["D([1/2] *v [1/3])", "D([3] *v [1/-2])", "D([1/-3] *v [1/3] *v [1/1])"]
+EMITS = list(golden.KNOTS.values()) + [[expr] for expr in STREAM_KNOTS]
+DEPTHS = ["\n", "\n  ", "\n      "]
 STORED = sorted((ROOT / "tests" / "golden").glob("*.json.xz")) + sorted(
     (ROOT / "perfbench" / "reference").glob("*.json.xz")
 )
@@ -97,3 +112,111 @@ def test_verify_report(tmp_path, capsys):
     assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(dest)]) == EXIT_OK
     text = dest.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2)  # no trailing newline
+
+
+def _reference_json(p: MultiPoly) -> dict:
+    """`MultiPoly.to_json` as a loop over the sorted terms."""
+    used = sorted({i for e in p.terms for i, x in enumerate(e) if x})
+    pos = {i: k for k, i in enumerate(used)}
+    terms = []
+    for exp, coef in p.sorted_terms():
+        proj = [0] * len(used)
+        for i, x in enumerate(exp):
+            if x:
+                proj[pos[i]] = x
+        terms.append({"coef": str(coef), "exp": proj})
+    return {"vars": [REGISTRY.name(i) for i in used], "terms": terms}
+
+
+def _reference_payload(pres) -> dict:
+    payload = pres.to_json()
+    for key in ("equations", "exclusions"):
+        assert payload[key] == [_reference_json(p) for p in getattr(pres, key)]
+    return payload
+
+
+def _assert_written(p: MultiPoly) -> None:
+    """p's text, alone and nested at several depths, is that of json.dumps."""
+    ref = _reference_json(p)
+    assert p.to_json() == ref
+    for nl in DEPTHS:
+        assert p._json_text(nl) == json.dumps(ref, indent=2).replace("\n", nl)
+    nested = {"a": [p, [p, {"b": p}]], "c": p}
+    assert _json_text(nested) == json.dumps(
+        {"a": [ref, [ref, {"b": ref}]], "c": ref}, indent=2)
+
+
+def _integral_fractions() -> MultiPoly:
+    p = MultiPoly.from_json({"vars": ["jx", "t"], "terms": [
+        {"coef": "6/3", "exp": [1, 0]}, {"coef": "-4", "exp": [0, 2]},
+        {"coef": "1/2", "exp": [0, 0]}]})
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    return p
+
+
+def _gaps() -> MultiPoly:
+    # jgap1 and jgap2 are registered between t and jgap3, and left unused
+    x = [MultiPoly.var(name) for name in ("jgap1", "jgap2", "jgap3")][-1]
+    return MultiPoly.var("t") * x**2 - x + 1
+
+
+def _degree_130() -> MultiPoly:
+    x, y, t = MultiPoly.var("jx"), MultiPoly.var("jy"), MultiPoly.var("t")
+    p = x**100 * y**30 - t**129 + 2 * y
+    assert p.total_degree() >= 128  # packed with two-byte fields
+    return p
+
+
+_POLYS = {
+    "zero": MultiPoly.zero,
+    "constant": lambda: MultiPoly.const(7),
+    "negative constant": lambda: MultiPoly.const(-12),
+    "negative coefficients": lambda: -3 * MultiPoly.var("t") ** 2 * MultiPoly.var("jx")
+    + MultiPoly.var("jx") - 5,
+    "fractions": lambda: Fraction(-1, 3) * MultiPoly.var("t")
+    + Fraction(5, 2) * MultiPoly.var("jx") ** 3,
+    "fraction constant": lambda: MultiPoly.const(Fraction(-7, 4)),
+    "integral fractions from JSON": _integral_fractions,
+    "gaps": _gaps,
+    # t, registered first, is unused: a gap before the one variable
+    "one variable after a gap": lambda: MultiPoly.var("jx") ** 2 - 3,
+    "degree 130": _degree_130,
+}
+
+
+@pytest.mark.parametrize("name", _POLYS)
+def test_polynomial_text(name):
+    _assert_written(_POLYS[name]())
+
+
+@pytest.mark.parametrize("args", EMITS, ids=lambda args: " ".join(args))
+def test_emit_payloads(args, capsys):
+    """emit --format json writes what json.dumps writes for the reference
+    payload, on every ladder and stream knot."""
+    assert main(["emit", "--format", "json", *args]) == EXIT_OK
+    out = capsys.readouterr().out
+    closure = parse(args[-1])
+    pres = link_presentation(closure) if args[0] == "--link" else closure_equations(closure)
+    payload = _reference_payload(pres)
+    payload["provenance"] = {"tool": "arborchar", "version": "0.1.0", "expression": args[-1]}
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_random_closures():
+    rng = random.Random(20)
+    drawn = written = 0
+    while drawn < 200:
+        closure = _random_closure(rng)
+        if closure is None:
+            continue
+        drawn += 1
+        try:
+            pres = closure_equations(closure)
+        except (UnsupportedShapeError, ZeroDivisionError):
+            continue
+        for p in pres.equations + pres.exclusions:
+            _assert_written(p)
+        assert _json_text(pres._json_fields(lambda p: p)) == json.dumps(
+            _reference_payload(pres), indent=2)
+        written += 1
+    assert written >= 150

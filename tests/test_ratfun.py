@@ -420,6 +420,12 @@ class TestRatFun:
         g = RatFun((t + x) * (t + 1), t + 1)
         assert f.equals(g)
         assert not f.equals(RatFun(t + x + 1))
+        # == compares normalised representations: f is not reduced by t - x
+        assert f != g and f != RatFun(t + x + 1)
+        h = RatFun((t + x) * (t + 1), t + 1)
+        assert g is not h and g == h and hash(g) == hash(h)
+        assert RatFun(2 * t, 4 * x) == RatFun(t, 2 * x)
+        assert g != g.num and RatFun(3) != 3
 
     def test_arithmetic(self):
         t = RatFun.var("t")
