@@ -20,7 +20,9 @@ keep their tuple keys.  A factor with a single term is applied as an exponent
 shift and a coefficient scale, without packing: no two of its products can
 collide.  ``FactoredRatFun`` keeps a rational scalar apart from its
 numerator, so the integer numerators that ``RatFun`` normalises to stay
-integer through its arithmetic.
+integer through its arithmetic.  A ``FactoredRatFun`` quotient cancels the
+divisor's denominator in its exponent map and multiplies into the
+numerator only the powers whose exponent would go negative.
 
 This module is the only one that maps variable names to exponent
 positions.  Other modules work by name: ``relabel`` takes a
@@ -906,7 +908,11 @@ class FactoredRatFun:
     the numerator, so a calculation whose denominators come from known
     factors never builds the powers that a plain ``RatFun`` sum would have
     to divide out again.  A denominator factor that is not in the list is
-    appended to it.
+    appended to it.  A quotient cancels the divisor's denominator powers
+    against its own exponents and multiplies into the numerator only a
+    power whose remainder is negative; over pairwise coprime factors
+    ``to_ratfun`` then gives the num and den that multiplying every power
+    in and dividing it out again would give.
 
     The rational scalar ``coef`` is kept apart from the numerator, so a
     numerator lifted from a ``RatFun`` keeps integer coefficients through
@@ -1002,9 +1008,15 @@ class FactoredRatFun:
         exps, scale = self._factor(o.num, self.base)
         for j, e in self.exps.items():
             exps[j] = exps.get(j, 0) + e
+        # o's denominator powers cancel against the quotient's own; only a
+        # power that o's denominator has in excess is multiplied in
         num = self.num
         for j, e in o.exps.items():
-            num = num * self.base[j] ** e
+            k = exps.get(j, 0) - e
+            if k < 0:
+                num = num * self.base[j] ** -k
+                k = 0
+            exps[j] = k
         return FactoredRatFun(num, _div(self.coef, o.coef * scale), exps, self.base)
 
     def to_ratfun(self) -> RatFun:

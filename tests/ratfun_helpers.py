@@ -3,7 +3,7 @@
 from fractions import Fraction
 from typing import Iterable
 
-from arborchar.ratfun import MultiPoly, RatFun
+from arborchar.ratfun import FactoredRatFun, MultiPoly, RatFun
 
 
 def reduce_by(f: RatFun, candidates: Iterable[MultiPoly]) -> RatFun:
@@ -152,3 +152,24 @@ def reference_substitute(a: tuple, var: str, value: tuple) -> tuple:
 
     n, d = horner(a[0]), horner(a[1])
     return reference_ratfun(n[0] * d[1], n[1] * d[0])
+
+
+# -- FactoredRatFun division by multiplying in ---------------------------------
+#
+# Division as it was written before quotients cancelled the divisor's
+# denominator in their exponent map: every power of the divisor's
+# denominator is multiplied into the numerator, and ``to_ratfun`` divides it
+# back out.  ``to_ratfun`` of a quotient must give the same num and den.
+
+
+def reference_truediv(f: FactoredRatFun, other) -> FactoredRatFun:
+    o = f._coerce(other)
+    if o.num.is_zero():
+        raise ZeroDivisionError("division by the zero rational function")
+    exps, scale = f._factor(o.num, f.base)
+    for j, e in f.exps.items():
+        exps[j] = exps.get(j, 0) + e
+    num = f.num
+    for j, e in o.exps.items():
+        num = num * f.base[j] ** e
+    return FactoredRatFun(num, _canonical(Fraction(f.coef) / (o.coef * scale)), exps, f.base)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from arborchar import invariants
+from arborchar.cli import _json_text
 from arborchar.errors import DomainError, StructureError, WrongEngineError
 from arborchar.invariants import (
     InvariantData,
@@ -29,7 +30,7 @@ from arborchar.invariants import (
     recover_grave_acute,
     tangle_invariants,
 )
-from arborchar.ratfun import MultiPoly, RatFun, pseudo_reduce
+from arborchar.ratfun import FactoredRatFun, MultiPoly, RatFun, pseudo_reduce
 from arborchar.tangle import (
     MAX_TWIST,
     CompV,
@@ -39,7 +40,7 @@ from arborchar.tangle import (
     expand_rational,
     parse,
 )
-from ratfun_helpers import reduce_by
+from ratfun_helpers import reduce_by, reference_truediv
 from test_acceptance import _random_closure
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -218,6 +219,31 @@ class TestCompose:
                 assert (y.num, y.den) == (x.num, x.den)
             assert out.ucheck.equals(g)
             assert (out.udot if d == "v" else out.u).equals(f)
+
+    # knots whose compose divides by records that have denominators
+    @pytest.mark.parametrize("expr", [
+        golden.KNOTS["worked"][0],
+        golden.KNOTS["montesinos"][0],
+        "D([1/2] *v [[2],[3]] *v [[3],[2]])",
+        "D([2] *v ([1/3] *h [1/2]) *v [[2],[-2]])",
+        "D(([2] *h [3]) *v ([1/2] *h [1/3]) *v [2])",
+    ])
+    def test_division_by_exponents_matches_multiplying_in(self, expr, monkeypatch):
+        """A FactoredRatFun quotient that cancels the divisor's denominator
+        in its exponent map gives the payload that multiplying it into the
+        numerator and dividing it out again gave, byte for byte."""
+        closure = parse(expr)
+        got = _json_text(closure_equations(closure)._json_fields(lambda p: p))
+        divisors = []
+
+        def multiply_in(f, other):
+            divisors.append(f._coerce(other))
+            return reference_truediv(f, other)
+
+        monkeypatch.setattr(FactoredRatFun, "__truediv__", multiply_in)
+        want = _json_text(closure_equations(closure)._json_fields(lambda p: p))
+        assert got == want
+        assert any(o.exps for o in divisors)
 
 
 def test_invariants_leaves_variable_indices_to_ratfun():

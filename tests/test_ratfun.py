@@ -25,6 +25,7 @@ from ratfun_helpers import (
     reference_ratfun,
     reference_substitute,
     reference_times,
+    reference_truediv,
 )
 
 
@@ -556,6 +557,79 @@ class TestFactoredRatFun:
         one = FactoredRatFun.lift(RatFun(1), base)
         with pytest.raises(ZeroDivisionError):
             one / (one - 1)
+
+    def _lifted(self, rng, base):
+        """A random fraction lifted over base: a numerator that may carry
+        every base factor, the product (t-2)(x+1) included, over powers 0
+        to 2 of the first three, and now and then a factor outside it."""
+        t, x = _t(), _x()
+        num = _random_poly(rng, ("t", "x"), terms=3, deg=2) + 1
+        den = MultiPoly.const(rng.choice((1, 2, -3)))
+        for f in base[:4]:
+            num = num * f ** rng.randint(0, 1)
+        for f in base[:3]:
+            den = den * f ** rng.randint(0, 2)
+        if rng.random() < 0.2:
+            den = den * (t + x + 3)
+        return FactoredRatFun.lift(RatFun(num, den), base)
+
+    def test_quotient_matches_multiplying_in(self):
+        """Cancelling the divisor's denominator in the exponent map gives
+        the num and den that multiplying it in and dividing it out gave,
+        term for term.  The base is not coprime, but lift divides by t-2
+        and x+1 before it tries their product, so the product never gets
+        an exponent."""
+        rng = random.Random(34)
+        excess = cancelled = 0
+        for _ in range(50):
+            base = self._base()
+            f, g, h = (self._lifted(rng, base) for _ in range(3))
+            for q, ref in ((f / g, reference_truediv(f, g)),
+                           (f / g / h, reference_truediv(reference_truediv(f, g), h)),
+                           (f / (3 * g - h), reference_truediv(f, 3 * g - h)),
+                           (f / _t(), reference_truediv(f, _t()))):
+                got, want = q.to_ratfun(), ref.to_ratfun()
+                assert got.num == want.num and got.den == want.den
+            # a power of g's denominator in excess of f's is multiplied in,
+            # the rest cancels
+            for j, e in g.exps.items():
+                if e > f.exps.get(j, 0):
+                    excess += 1
+                elif e:
+                    cancelled += 1
+        assert excess > 20 and cancelled > 20
+
+    def test_excess_power_is_multiplied_in(self):
+        base = self._base()
+        t, x = _t(), _x()
+        f = FactoredRatFun.lift(RatFun(x, t - 2), base)
+        g = FactoredRatFun.lift(RatFun(1, (t - 2) ** 3 * (x + 1)), base)
+        q = f / g
+        assert q.exps == {0: 0, 1: 0} and q.num == x * (t - 2) ** 2 * (x + 1)
+        assert q.to_ratfun().num == x * (t - 2) ** 2 * (x + 1)
+        assert q.to_ratfun().den == 1
+
+    def test_numerator_kept_when_nothing_is_multiplied_in(self):
+        base = self._base()
+        t, x = _t(), _x()
+        f = FactoredRatFun.lift(RatFun(x * x - 2, (t - 2) ** 2 * (x + 1)), base)
+        for value in (RatFun(t + x, (t - 2) * (x + 1)), RatFun(x - 7, 5), RatFun(x + 2)):
+            q = f / FactoredRatFun.lift(value, base)
+            assert q.num is f.num
+            assert q.to_ratfun().equals(f.to_ratfun() / value)
+        assert (f / 4).num is f.num and (f / (x + 2)).num is f.num
+
+    def test_non_coprime_exponent_maps_stay_equal(self):
+        """Over a hand-built exponent map on the product (t-2)(x+1), which
+        lift never builds, the two routes cancel the factors in a
+        different order: the fractions are equal, not term for term."""
+        base = self._base()
+        one = MultiPoly.const(1)
+        f = FactoredRatFun(one, 1, {0: 1, 3: 1}, base)
+        g = FactoredRatFun(one, 1, {3: 1}, base)
+        got, want = (f / g).to_ratfun(), reference_truediv(f, g).to_ratfun()
+        assert got.num == 1 and got.den == _t() - 2
+        assert got.equals(want)
 
 
 class TestHelpers:
