@@ -240,14 +240,16 @@ def _bare_own_var(I: InvariantData, direction: str) -> str | None:
 def _local_sig(s: RatFun, own: tuple[str, ...]) -> tuple:
     """Order-free fingerprint of a shared coordinate.
 
-    The factor's own twist-region variables are renamed to fixed
-    placeholders in their depth-first order, so the fingerprint does not
-    depend on where in the tree the factor sits.  Higher-degree coordinates
-    sort first; this matches the representative conventions of the
-    simplified twist-chain closed forms.
+    The texts of its numerator and denominator in an explicit variable
+    order: t, then the factor's own twist-region variables in depth-first
+    order, written as the placeholders _sig0, _sig1, ...  So the
+    fingerprint depends neither on where in the tree the factor sits nor
+    on what the process registered before, and no name is registered.
+    Higher-degree coordinates sort first; this matches the representative
+    conventions of the simplified twist-chain closed forms.
     """
-    f = s.relabel({v: f"_sig{i}" for i, v in enumerate(own)})
-    return (-f.num.total_degree(), str(f.num), str(f.den))
+    order = {"t": "t", **{v: f"_sig{i}" for i, v in enumerate(own)}}
+    return (-s.num.total_degree(), *s.texts(order))
 
 
 def _region_key(name: str) -> tuple[int, str]:

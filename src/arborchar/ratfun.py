@@ -28,7 +28,11 @@ This module is the only one that maps variable names to exponent
 positions.  Other modules work by name: ``relabel`` takes a
 ``{old_name: new_name}`` map, ``RatFun.substitute``, ``degree_in`` and
 ``coeffs_in`` name their variable, and ``variables`` and
-``MultiPoly.named_terms`` report names.
+``MultiPoly.named_terms`` report names.  ``str`` writes terms in registry
+order; ``RatFun.texts`` writes them in an explicit variable order its
+caller gives, so a ranking by text depends on names alone and registers
+none (the engine registers only t and its twist-region names).  Both go
+through one term formatter, ``_text``.
 
 Fractions of polynomials are reduced only by integer content, common
 monomial factors, and exact trial division by explicitly supplied factor
@@ -87,9 +91,6 @@ class VarRegistry:
 
     def name(self, index: int) -> str:
         return self._names[index]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def __len__(self) -> int:
         return len(self._names)
@@ -597,26 +598,22 @@ class MultiPoly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for exp, coef in self.sorted_terms():
-            factors = [
-                REGISTRY.name(i) + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(exp)
-                if p
-            ]
-            mono = "*".join(factors)
-            a = abs(coef)
-            if not factors:
-                body = str(a)
-            elif a == 1:
-                body = mono
-            else:
-                body = f"{a}*{mono}"
-            pieces.append(("- " if coef < 0 else "+ ") + body)
-        out = " ".join(pieces)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        used, coefs, rows = self._rows()
+        return _text(list(map(REGISTRY.name, used)), coefs, rows)
+
+    def _rows_in(self, order: Sequence[str]) -> tuple[list[Scalar], list[tuple[int, ...]]]:
+        """The terms in decreasing monomial order for the variable order
+        ``order`` instead of the registry's, as each term's coefficient and
+        its exponents in the variables of ``order``."""
+        known = set(order)
+        pairs = []
+        for powers, c in self.named_terms():
+            if not powers.keys() <= known:
+                raise DomainError(f"variables {sorted(powers.keys() - known)} are not in the order")
+            pairs.append((tuple(powers.get(v, 0) for v in order), c))
+        # graded lexicographic: total degree first, then the exponents in order
+        pairs.sort(key=lambda pair: (sum(pair[0]), pair[0]), reverse=True)
+        return [c for _, c in pairs], [row for row, _ in pairs]
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -670,6 +667,27 @@ class MultiPoly:
                 exp[idx[k]] = p
             terms[_trim(tuple(exp))] = Fraction(t["coef"])
         return MultiPoly(terms)
+
+
+def _text(names: Sequence[str], coefs: Iterable[Scalar], rows: Iterable[Sequence[int]]) -> str:
+    """The text of a polynomial whose terms, in decreasing monomial order,
+    have these coefficients and these exponents in the variables ``names``:
+    the one term formatter of ``MultiPoly.__str__`` and ``RatFun.texts``."""
+    pieces: list[str] = []
+    for coef, row in zip(coefs, rows):
+        mono = "*".join(v + (f"^{p}" if p > 1 else "") for v, p in zip(names, row) if p)
+        a = abs(coef)
+        if not mono:
+            body = str(a)
+        elif a == 1:
+            body = mono
+        else:
+            body = f"{a}*{mono}"
+        pieces.append(("- " if coef < 0 else "+ ") + body)
+    if not pieces:
+        return "0"
+    out = " ".join(pieces)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
 #: The denominator of every ``RatFun`` whose denominator is 1, so ``den is
@@ -880,6 +898,19 @@ class RatFun:
                 f"denominator magnitude {abs(dv):.3g} below {_MIN_DEN:g}"
             )
         return complex(self.num.eval(point)) / dv
+
+    def texts(self, order: Mapping[str, str]) -> tuple[str, str]:
+        """The texts of numerator and denominator in the variable order of
+        ``order``'s keys, each variable written as its value: what ``str``
+        gives of both, were this fraction normalised with that order as the
+        monomial order.  That normalisation can only negate both, when the
+        denominator's leading coefficient in that order is negative.  No
+        registry position is compared and no name is registered."""
+        names, variables = list(order.values()), list(order)
+        (ncoefs, nrows), (dcoefs, drows) = self.num._rows_in(variables), self.den._rows_in(variables)
+        if dcoefs[0] < 0:
+            ncoefs, dcoefs = [-c for c in ncoefs], [-c for c in dcoefs]
+        return _text(names, ncoefs, nrows), _text(names, dcoefs, drows)
 
     def __str__(self) -> str:
         if self.is_poly():

@@ -25,9 +25,10 @@ from .errors import (
     GenericityError,
     InconsistencyError,
 )
-from .mat2 import IDENTITY, TOL, Mat2, trace_of_product
+from .mat2 import IDENTITY, TOL, Mat2, kappa_of_trace, trace_of_product
 
-#: |sqrt(t^2 - 4)| below this is t = +-2, where a1 cannot be diagonalized
+#: |sqrt(t^2 - 4)| = |kappa - 1/kappa| below this is t = +-2, where a1
+#: cannot be diagonalized
 DIAG_FLOOR = 1e-6
 
 #: bound on the extended 4x4 Gram determinant in `complete_fourth`,
@@ -136,14 +137,13 @@ def third_with_traces(a1: Mat2, a2: Mat2, t: complex, t13: complex, t23: complex
     if comm <= TOL:
         raise DomainError("a1 and a2 must not commute")
     t = complex(t)
-    disc = cmath.sqrt(t * t - 4)
-    if abs(disc) < DIAG_FLOOR:
+    kappa = kappa_of_trace(t)
+    ki = 1 / kappa
+    if abs(kappa - ki) < DIAG_FLOOR:
         raise ConditioningError("t too close to +-2 for diagonalization")
-    kappa = (t + disc) / 2
     c = _diagonalizer(a1.to_complex(), kappa)
     b2 = a2.to_complex().conj_by(c)
 
-    ki = 1 / kappa
     b11 = (t13 - ki * t) / (kappa - ki)
     b22 = (kappa * t - t13) / (kappa - ki)
     rhs = t23 - b2.a11 * b11 - b2.a22 * b22

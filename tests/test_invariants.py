@@ -415,9 +415,9 @@ def _sign_repeats(polys) -> list[tuple[int, int]]:
             if p == q or p == -q]
 
 
-def _fresh_emits(setup: str) -> list[dict]:
-    """The payloads of SMALL_KNOTS, emitted in one fresh interpreter after
-    it runs the code setup."""
+def _fresh_emits(setup: str, exprs: list[str] | None = None) -> list[dict]:
+    """The payloads of exprs (by default SMALL_KNOTS), emitted in one fresh
+    interpreter after it runs the code setup."""
     code = (
         "import json, sys\n"
         "from arborchar.invariants import closure_equations\n"
@@ -426,7 +426,8 @@ def _fresh_emits(setup: str) -> list[dict]:
         + "for expr in json.loads(sys.argv[1]):\n"
         "    print(json.dumps(closure_equations(parse(expr)).to_json()))\n"
     )
-    exprs = [golden.KNOTS[name][0] for name in SMALL_KNOTS]
+    if exprs is None:
+        exprs = [golden.KNOTS[name][0] for name in SMALL_KNOTS]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run([sys.executable, "-c", code, json.dumps(exprs)],
                          capture_output=True, text=True, env=env, timeout=120)
@@ -449,6 +450,9 @@ def _up_to_sign(payload: dict) -> dict:
 
 
 class TestClosure:
+    # a knot whose closure keeps a representative ranked by _local_sig
+    RANKED = "N([1/-2] *v [1/-1] *h ([-2] *v [1]))"
+
     # every ladder knot but link-3333, which links.py emits
     @pytest.mark.parametrize("name", [n for n in golden.KNOTS if n != "link-3333"])
     def test_ladder_exclusions_distinct_up_to_sign(self, name):
@@ -543,14 +547,30 @@ class TestClosure:
         for name, payload in zip(SMALL_KNOTS, _fresh_emits(setup), strict=True):
             assert _up_to_sign(payload) == _up_to_sign(golden.stored(name)), name
 
+    @pytest.mark.parametrize("names", [("_sig2", "_sig1", "_sig0"), ("r5", "r4", "r3", "r2", "r1")],
+                             ids=["sig-names", "r-names"])
+    def test_kept_representative_does_not_depend_on_registration_order(self, names):
+        # the first knot's gluing ranks two shared coordinates that are not
+        # bare variables; the ranking renders them in an order of its own,
+        # so names registered before the emit, placeholder names among
+        # them, change at most the sign and term order of the payload
+        exprs = [self.RANKED, golden.KNOTS["worked"][0], golden.KNOTS["montesinos"][0]]
+        clean = [golden.emit([self.RANKED]), golden.stored("worked"), golden.stored("montesinos")]
+        setup = "from arborchar.ratfun import MultiPoly\n" + "".join(
+            f"MultiPoly.var({n!r})\n" for n in names)
+        for expr, payload, want in zip(exprs, _fresh_emits(setup, exprs), clean, strict=True):
+            assert _up_to_sign(payload) == _up_to_sign(want), expr
+
     def test_repeated_emits_register_no_names(self):
         # a fresh interpreter emits the knots twice; every engine names its
-        # twist regions r1, r2, ..., so the second pass adds nothing to
-        # the variable registry, and both passes give what each knot emits
-        # in an interpreter of its own.  The knots include the six of the
-        # benchmark's emit stream, whose RatFuns are nearly all polynomials
-        # sharing one denominator object: a change to it in place would
-        # show as a difference between the passes
+        # twist regions r1, r2, ..., and ranks shared coordinates without
+        # registering a name, so the registry holds t and the region names
+        # alone, the second pass adds nothing to it, and both passes give
+        # what each knot emits in an interpreter of its own.  The knots are
+        # the seven knot rows of the benchmark ladder and the extra knots of
+        # its emit stream, whose RatFuns are nearly all polynomials sharing
+        # one denominator object: a change to it in place would show as a
+        # difference between the passes
         code = (
             "import json, sys\n"
             "from arborchar.invariants import closure_equations\n"
@@ -560,9 +580,9 @@ class TestClosure:
             "for _ in range(2):\n"
             "    for expr in exprs:\n"
             "        print(json.dumps(closure_equations(parse(expr)).to_json()))\n"
-            "    print(len(REGISTRY))\n"
+            "    print(json.dumps([REGISTRY.name(i) for i in range(len(REGISTRY))]))\n"
         )
-        names = ["trefoil", "n-2-3", "pretzel-333", "worked", "montesinos"]
+        names = [name for name in golden.KNOTS if name != "link-3333"]
         extra = ["D([1/2] *v [1/3])", "D([3] *v [1/-2])", "D([1/-3] *v [1/3] *v [1/1])"]
         exprs = [golden.KNOTS[name][0] for name in names] + extra
         fresh = [golden.stored(name) for name in names] + [golden.emit([e]) for e in extra]
@@ -573,7 +593,8 @@ class TestClosure:
         lines = res.stdout.splitlines()
         assert len(lines) == 2 * (len(exprs) + 1)
         first, second = lines[: len(exprs) + 1], lines[len(exprs) + 1:]
-        assert int(first[-1]) == int(second[-1])
+        regions = ["t", "r1", "r2", "r3", "r4", "r5"]
+        assert json.loads(first[-1]) == json.loads(second[-1]) == regions
         for expr, a, b, want in zip(exprs, first, second, fresh):
             assert json.loads(a) == json.loads(b) == want, expr
 

@@ -163,6 +163,64 @@ class TestMultiPoly:
         assert MultiPoly.from_json(p.to_json()) == p
 
 
+class TestTexts:
+    """RatFun.texts renders numerator and denominator in a variable order
+    it is given, not in the registry's."""
+
+    def test_registry_order_gives_str(self):
+        rng = random.Random(13)
+        names = ("t", "r1", "r2", "x")
+        for _ in range(20):
+            f = RatFun(_random_poly(rng, names), _random_poly(rng, names) + _x())
+            registry = [REGISTRY.name(i) for i in range(len(REGISTRY))]
+            assert f.texts({v: v for v in registry}) == (str(f.num), str(f.den))
+        assert RatFun(0).texts({"t": "t"}) == ("0", "1")
+        assert RatFun(7).texts({}) == ("7", "1")
+
+    def test_same_text_whatever_the_registration_order(self):
+        # two copies of each fraction over names that this process registers
+        # here first, one copy's in the order a, b, c and the other's in
+        # reverse: each copy normalises its denominator's sign and orders
+        # its terms by its own registry order, and texts undoes both
+        forward = [MultiPoly.var(f"zz_fwd_{v}") for v in "abc"]
+        backward = [MultiPoly.var(f"zz_bwd_{v}") for v in "cba"][::-1]
+        rng = random.Random(14)
+        differ = flipped = 0
+        for _ in range(20):
+            shape = [[(Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+                       [rng.randint(0, 2) for _ in range(3)]) for _ in range(5)] for _ in range(2)]
+
+            def build(vs):
+                num, den = (sum((c * vs[0] ** i * vs[1] ** j * vs[2] ** k
+                                 for c, (i, j, k) in part), MultiPoly.zero()) for part in shape)
+                return RatFun(num, den + vs[0] - vs[2])
+
+            f, g = build(forward), build(backward)
+            order = {"t": "t", **{f"zz_fwd_{v}": v for v in "abc"}}
+            assert f.texts(order) == g.texts({k.replace("fwd", "bwd"): v for k, v in order.items()})
+            differ += str(f).replace("zz_fwd_", "") != str(g).replace("zz_bwd_", "")
+            flipped += g.den.relabel({f"zz_bwd_{v}": f"zz_fwd_{v}" for v in "abc"}) == -f.den
+        assert differ  # str follows the registry order, texts does not
+        assert flipped  # some copies were normalised to opposite signs
+
+    def test_negates_both_when_the_denominator_leads_negative(self):
+        t, x = _t(), _x()
+        f = RatFun(x, t - x)
+        assert (str(f.num), str(f.den)) == ("x", "t - x")
+        assert f.texts({"x": "x", "t": "t"}) == ("-x", "x - t")
+        assert f.texts({"x": "b", "t": "a"}) == ("-b", "b - a")
+        assert f.texts({"t": "t", "x": "x"}) == ("x", "t - x")
+
+    def test_every_variable_needs_a_place_in_the_order(self):
+        with pytest.raises(DomainError):
+            RatFun(_x(), _t() + 1).texts({"t": "t"})
+
+    def test_registers_no_name(self):
+        size = len(REGISTRY)
+        RatFun(_x() * _t() - 1, _t() + 2).texts({"t": "t", "x": "zz_never_registered"})
+        assert len(REGISTRY) == size
+
+
 def _sparse(rng, names, terms, deg, fractions):
     """A random sparse polynomial in the named variables, with int or, when
     fractions is set, partly Fraction coefficients."""
