@@ -1,13 +1,16 @@
 """Command-line front end: emit presentations, verify with the matrix
 oracle, generate witness families, and count closure components.
 
-A subcommand loads only the modules it runs.  Importing this module loads
-`tangle`, `ratfun`, `invariants` and `chebyshev`, all that `emit` and
-`components` use; `links` (`emit --link`), `oracle` and `mat2` (`verify`,
-`witness`) and `witness` are imported on the first call of the function
-that needs them.  JSON output is written by `_json_text`, which gives the
-bytes of `json.dumps(obj, indent=2)` without the standard encoder's
-pure-Python indenting path.  `emit --format json` hands it the
+A subcommand builds only its own parser (`build_parser(name)`) and loads
+only the modules it runs.  The parser of every command is built for a
+call with no known command first (`-h`, `--version`) and to report
+leftover arguments, whose usage line names every command.  Importing this
+module loads `tangle`, `ratfun`, `invariants` and `chebyshev`, all that
+`emit` and `components` use; `links` (`emit --link`), `oracle` and `mat2`
+(`verify`, `witness`) and `witness` are imported on the first call of the
+function that needs them.  JSON output is written by `_json_text`, which
+gives the bytes of `json.dumps(obj, indent=2)` without the standard
+encoder's pure-Python indenting path.  `emit --format json` hands it the
 presentation's fields with the polynomials unconverted, and each
 `MultiPoly` writes its own text straight from its sorted terms.
 
@@ -318,7 +321,55 @@ def cmd_components(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _expr_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("expr", nargs="?", help="tangle closure expression")
+    p.add_argument("--file", help="read the expression from a file")
+
+
+def _emit_args(p: argparse.ArgumentParser) -> None:
+    _expr_args(p)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--out", help="write to a file instead of stdout")
+    p.add_argument(
+        "--link",
+        action="store_true",
+        help="use the two-trace engine for supported two-component shapes",
+    )
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    p.add_argument("--samples", type=_count, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_tolerance, default=RESIDUAL_TOL)
+    p.add_argument("--out", help="write the JSON report to a file")
+
+
+def _witness_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--t", required=True, help="meridian trace")
+    p.add_argument("--t23", required=True)
+    p.add_argument("--t34", required=True)
+    p.add_argument("--t14", required=True)
+    p.add_argument("--t13", help="comma-separated t13 values")
+    p.add_argument("--t13-count", type=_count, default=5)
+    p.add_argument("--pair-file", help="JSON file with entries a1, a2")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_tolerance, default=RESIDUAL_TOL)
+    p.add_argument("--out", help="write the JSON report to a file")
+
+
+# name -> (help text, argument adder, handler), in the order `-h` lists them
+_COMMANDS = {
+    "emit": ("emit the defining equations", _emit_args, cmd_emit),
+    "verify": ("run oracle suites", _verify_args, cmd_verify),
+    "witness": ("generate a witness family", _witness_args, cmd_witness),
+    "components": ("print the component count", _expr_args, cmd_components),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; for a name in _COMMANDS it has only that
+    command's subparser, otherwise all of them."""
     parser = argparse.ArgumentParser(
         prog="arborchar",
         description=(
@@ -328,55 +379,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_expr_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("expr", nargs="?", help="tangle closure expression")
-        p.add_argument("--file", help="read the expression from a file")
-
-    p_emit = sub.add_parser("emit", help="emit the defining equations")
-    add_expr_flags(p_emit)
-    p_emit.add_argument("--format", choices=("json", "text"), default="text")
-    p_emit.add_argument("--out", help="write to a file instead of stdout")
-    p_emit.add_argument(
-        "--link",
-        action="store_true",
-        help="use the two-trace engine for supported two-component shapes",
-    )
-    p_emit.set_defaults(func=cmd_emit)
-
-    p_verify = sub.add_parser("verify", help="run oracle suites")
-    p_verify.add_argument(
-        "--suite", choices=SUITE_NAMES + ("all",), default="all"
-    )
-    p_verify.add_argument("--samples", type=_count, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=_tolerance, default=RESIDUAL_TOL)
-    p_verify.add_argument("--out", help="write the JSON report to a file")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_wit = sub.add_parser("witness", help="generate a witness family")
-    p_wit.add_argument("--t", required=True, help="meridian trace")
-    p_wit.add_argument("--t23", required=True)
-    p_wit.add_argument("--t34", required=True)
-    p_wit.add_argument("--t14", required=True)
-    p_wit.add_argument("--t13", help="comma-separated t13 values")
-    p_wit.add_argument("--t13-count", type=_count, default=5)
-    p_wit.add_argument("--pair-file", help="JSON file with entries a1, a2")
-    p_wit.add_argument("--seed", type=int, default=0)
-    p_wit.add_argument("--tol", type=_tolerance, default=RESIDUAL_TOL)
-    p_wit.add_argument("--out", help="write the JSON report to a file")
-    p_wit.set_defaults(func=cmd_witness)
-
-    p_comp = sub.add_parser("components", help="print the component count")
-    add_expr_flags(p_comp)
-    p_comp.set_defaults(func=cmd_components)
-
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        help_text, add_args, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:
+        # argparse reports leftover arguments with the top-level usage, whose
+        # command list must name every command: the full tree does that
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit:

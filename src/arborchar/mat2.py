@@ -132,10 +132,6 @@ class Mat2:
     def det(self) -> Number:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    def adjoint(self) -> "Mat2":
-        """Adjugate; satisfies m + m* = tr(m) * identity."""
-        return Mat2(self.a22, -self.a12, -self.a21, self.a11)
-
     def inv(self) -> "Mat2":
         """Inverse; the adjugate scaled by 1/det, entry by entry."""
         a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22

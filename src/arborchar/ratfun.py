@@ -14,8 +14,8 @@ one operation (``_Packing``; Johnson, SIGSAM Bull. 1974; Monagan and
 Pearce, CASC 2007): a total-degree field, then one field per variable, each
 with a guard bit.  A product of monomials is then an int sum, a
 divisibility test is one mask, and int order is the monomial order, which
-``leading``, ``sorted_terms`` and the JSON writers (``to_json`` and the
-text that ``arborchar emit`` writes) use as well.  Operands and results
+``leading`` and the JSON writers (``to_json`` and the text that
+``arborchar emit`` writes) use as well.  Operands and results
 keep their tuple keys.  A factor with a single term is applied as an exponent
 shift and a coefficient scale, without packing: no two of its products can
 collide.  ``FactoredRatFun`` keeps a rational scalar apart from its
@@ -204,11 +204,6 @@ class _Packing:
         return map(_trim, self.fields(keys))
 
 
-def _descending(keys: list[int]) -> list[int]:
-    """The positions of packed monomials in decreasing monomial order."""
-    return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-
-
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients, each
     an int when integral and a Fraction otherwise."""
@@ -284,11 +279,6 @@ class MultiPoly:
         (exp,) = packing.unpack([max(packing.pack(self.terms))])
         return exp, self.terms[exp]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Terms in decreasing monomial order."""
-        items = list(self.terms.items())
-        return [items[i] for i in _descending(list(self._packing().pack(self.terms)))]
-
     def _rows(self) -> tuple[list[int], Iterator[Scalar], Iterator[Sequence[int]]]:
         """The terms in decreasing monomial order, as the registry positions
         that some term uses, then each term's coefficient, then each term's
@@ -297,7 +287,7 @@ class MultiPoly:
         packing = self._packing()
         keys = list(packing.pack(self.terms))
         coefs = list(self.terms.values())
-        order = _descending(keys)
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
         rows = packing.fields(map(keys.__getitem__, order))
         # a field of the keys' bitwise or is nonzero when some term uses it
         (mask,) = packing.fields([reduce(or_, keys, 0)])

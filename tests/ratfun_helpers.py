@@ -57,6 +57,27 @@ def grlex_key(exp: tuple, width: int) -> tuple:
     return (sum(exp), _padded(exp, width))
 
 
+def grlex_terms(p: MultiPoly) -> list:
+    """p's (exponents, coefficient) terms in decreasing graded
+    lexicographic order."""
+    width = _width(p)
+    return sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0], width), reverse=True)
+
+
+def written_terms(p: MultiPoly) -> list:
+    """p's (exponents, coefficient) terms in the order the kernel writes
+    them: ``MultiPoly._rows`` with each row put back at its registry
+    positions."""
+    used, coefs, rows = p._rows()
+    out = []
+    for coef, row in zip(coefs, rows):
+        exp = [0] * (used[-1] + 1)
+        for i, x in zip(used, row):
+            exp[i] = x
+        out.append((_trimmed(exp), coef))
+    return out
+
+
 def reference_mul(a: MultiPoly, b: MultiPoly) -> dict:
     """Terms of a * b, accumulated pair by pair in the operands' order."""
     width = _width(a, b)

@@ -33,6 +33,7 @@ from arborchar.tangle import (
     parse,
 )
 from arborchar.witness import pairwise_gaps, witness_family
+from ratfun_helpers import grlex_terms
 
 FIG_EXPR = "D([[2],[-2]] *v [2] *v ([1/3] *h [1/2]))"
 
@@ -301,8 +302,8 @@ class TestAcceptance:
                 a.u.equals(b.u)
                 and a.udot.equals(b.udot)
                 and a.ucheck.equals(b.ucheck)
-                and sorted(repr(p.primitive().sorted_terms()) for p in a.constraints)
-                == sorted(repr(p.primitive().sorted_terms()) for p in b.constraints)
+                and sorted(repr(grlex_terms(p.primitive())) for p in a.constraints)
+                == sorted(repr(grlex_terms(p.primitive())) for p in b.constraints)
             )
             ok = ok and same
             checked += 1
@@ -520,7 +521,7 @@ def _var_fingerprint(pres, name: str):
 
 
 def _eq_keys(equations):
-    return sorted(repr(p.primitive().sorted_terms()) for p in equations)
+    return sorted(repr(grlex_terms(p.primitive())) for p in equations)
 
 
 def _rename_equations(equations, mapping):

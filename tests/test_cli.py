@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, tolerance flags."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -15,7 +16,7 @@ import pytest
 
 import arborchar
 from arborchar import oracle, witness
-from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, main
+from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, build_parser, main
 from arborchar.tangle import MAX_DEPTH, MAX_TWIST
 
 
@@ -478,3 +479,80 @@ class TestTopLevel:
         done = _run_fresh(["components", "D([1/1] *v [1/2])"])
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout.strip() == "1"
+
+    def test_fresh_process_reads_sys_argv(self):
+        """With no argv, main parses ``sys.argv[1:]``; a leftover argument
+        is reported with the usage line of the full command tree."""
+        done = _run_fresh(["emit", "--bogus", "D([1/1] *v [1/2])"])
+        assert done.returncode == EXIT_INPUT
+        assert done.stdout == ""
+        assert done.stderr.startswith(
+            "usage: arborchar [-h] [--version] {emit,verify,witness,components} ...\n")
+        assert "unrecognized arguments: --bogus" in done.stderr
+        done = _run_fresh(["emit", "-h"])
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("usage: arborchar emit [-h]")
+
+
+def _choices(parser: argparse.ArgumentParser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+class TestParser:
+    """``build_parser(name)`` builds only the named command's subparser, and
+    main answers every argv as the full tree does."""
+
+    COMMANDS = ["emit", "verify", "witness", "components"]
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_one_command_registers_one_choice(self, name):
+        assert _choices(build_parser(name)) == [name]
+
+    @pytest.mark.parametrize("command", [None, "emti", "-h", ""])
+    def test_full_tree_lists_every_command_in_order(self, command):
+        assert _choices(build_parser(command)) == self.COMMANDS
+
+    @pytest.mark.parametrize("argv", [
+        ["emit", "D([1/1] *v [1/2])"],
+        ["emit", "--format", "json", "--out", "x.json", "--link", "D([3] *v [3])"],
+        ["emit", "--file", "expr.txt"],
+        ["emit", "--", "D([1/1] *v [1/2])"],
+        ["verify"],
+        ["verify", "--suite", "base", "--samples", "3", "--seed", "7", "--tol", "1e-6",
+         "--out", "r.json"],
+        TestWitness.ARGS,
+        [*TestWitness.ARGS, "--t13", "1+1j,0.5j", "--t13-count", "2",
+         "--pair-file", "p.json", "--seed", "3", "--tol", "1e-7", "--out", "w.json"],
+        ["components", "N([2] *h [3])"],
+        ["components", "--file", "expr.txt"],
+    ])
+    def test_one_command_parses_as_the_full_tree(self, argv):
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"],
+        ["emit", "-h"],
+        ["verify", "-h"],
+        ["witness", "-h"],
+        ["components", "-h"],
+        ["--version"],
+        [],
+        ["emti", "x"],
+        ["emit", "--bogus", "D([1/1] *v [1/2])"],
+        ["emit", "--version"],
+        ["emit", "x", "y"],
+        ["verify", "--suite", "base", "extra"],
+        ["emit", "--format", "xml", "x"],
+        ["verify", "--tol", "-1"],
+        ["witness", "--t", "1"],
+        ["components", "x", "y"],
+    ])
+    def test_main_answers_as_the_full_tree(self, argv, capsys):
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert capsys.readouterr() == want
+        assert got.value.code == full.value.code

@@ -23,6 +23,7 @@ from arborchar.errors import UnsupportedShapeError
 from arborchar.invariants import closure_equations
 from arborchar.ratfun import REGISTRY, MultiPoly
 from arborchar.tangle import parse
+from ratfun_helpers import grlex_terms
 from test_acceptance import _random_closure
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -144,7 +145,7 @@ def _reference_json(p: MultiPoly) -> dict:
     used = sorted({i for e in p.terms for i, x in enumerate(e) if x})
     pos = {i: k for k, i in enumerate(used)}
     terms = []
-    for exp, coef in p.sorted_terms():
+    for exp, coef in grlex_terms(p):
         proj = [0] * len(used)
         for i, x in enumerate(exp):
             if x:
