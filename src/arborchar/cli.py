@@ -1,10 +1,15 @@
 """Command-line front end: emit presentations, verify with the matrix
 oracle, generate witness families, and count closure components.
 
-A subcommand builds only its own parser (`build_parser(name)`) and loads
-only the modules it runs.  The parser of every command is built for a
-call with no known command first (`-h`, `--version`) and to report
-leftover arguments, whose usage line names every command.  Importing this
+`main` parses a well-formed command line itself (`_parse_plain`): exact
+flags, in the `--opt value` and `--opt=value` forms, and at most one
+positional expression.  It reads each command's arguments from the same
+`add_argument` calls that `build_parser` makes, recorded by a `_Spec`, so
+every flag is declared once.  Any other argv (help, `--version`, `--`, an
+abbreviation, a bad value, a missing option) goes to argparse's full
+command tree, which gives its help texts, usage lines, error messages and
+exit codes; a well-formed call never builds that tree, nor loads the
+`locale` module that argparse's message lookups import.  Importing this
 module loads `tangle`, `ratfun`, `invariants` and `chebyshev`, all that
 `emit` and `components` use; `links` (`emit --link`), `oracle` and `mat2`
 (`verify`, `witness`) and `witness` are imported on the first call of the
@@ -104,9 +109,12 @@ def _fail(code: int, message: str) -> None:
 
 
 def _write_file(path: str, text: str) -> None:
+    """Write `text` and a final newline, as `print` would, without joining
+    them into a second copy of the text."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write("\n")
     except OSError as exc:
         _fail(EXIT_INPUT, f"cannot write {path}: {exc}")
 
@@ -115,7 +123,7 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        _write_file(out, text + "\n")
+        _write_file(out, text)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -367,9 +375,9 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; for a name in _COMMANDS it has only that
-    command's subparser, otherwise all of them."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full argparse command tree, for the argvs `_parse_plain`
+    declines."""
     parser = argparse.ArgumentParser(
         prog="arborchar",
         description=(
@@ -379,21 +387,96 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (command,) if command in _COMMANDS else _COMMANDS:
-        help_text, add_args, handler = _COMMANDS[name]
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_args(p)
         p.set_defaults(func=handler)
     return parser
 
 
+class _Spec:
+    """A command's arguments as its adder declares them: it takes the same
+    `add_argument` calls as an argparse parser, in the forms the adders
+    use (long flags, `store_true`, one positional with `nargs="?"`)."""
+
+    def __init__(self, add_args) -> None:
+        self.defaults: dict = {}
+        self.flags: dict = {}  # "--name" -> (dest, store_true?, type, choices)
+        self.required: set[str] = set()
+        self.positional: str | None = None
+        add_args(self)
+
+    def add_argument(self, name: str, *, nargs=None, action=None, type=None, choices=None,
+                     default=None, required=False, help=None) -> None:
+        if not name.startswith("--"):
+            if nargs != "?" or self.positional is not None:
+                raise ValueError(f"only one optional positional is supported, not {name!r}")
+            self.positional = name
+            self.defaults[name] = default
+            return
+        if nargs is not None or action not in (None, "store_true"):
+            raise ValueError(f"unsupported form of {name}")
+        dest = name[2:].replace("-", "_")
+        switch = action == "store_true"
+        self.defaults[dest] = False if switch else default
+        self.flags[name] = (dest, switch, type, choices)
+        if required:
+            self.required.add(dest)
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse's full tree gives a well-formed `argv`, or
+    None for an argv left to argparse: no known command, a token starting
+    with "-" that is not an exact flag of the command (`-h`, `--`, an
+    abbreviation, a negative number), a separate value starting with "-"
+    or missing, a value its converter or choices refuse, `--flag=` on a
+    switch, a second positional, or a missing required option."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _help, add_args, handler = _COMMANDS[argv[0]]
+    spec = _Spec(add_args)
+    values = spec.defaults
+    missing = set(spec.required)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if spec.positional is None or values[spec.positional] is not None:
+                return None
+            values[spec.positional] = token
+            continue
+        flag, eq, raw = token.partition("=")
+        if flag not in spec.flags:
+            return None
+        dest, switch, convert, choices = spec.flags[flag]
+        if switch:
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None or raw.startswith("-"):
+                return None
+        value = raw
+        if convert is not None:
+            try:
+                value = convert(raw)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        missing.discard(dest)
+    if missing:
+        return None
+    return argparse.Namespace(command=argv[0], **values, func=handler)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
-    if extra:
-        # argparse reports leftover arguments with the top-level usage, whose
-        # command list must name every command: the full tree does that
+    args = _parse_plain(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

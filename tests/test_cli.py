@@ -2,11 +2,14 @@
 
 import argparse
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import arborchar
-from arborchar import oracle, witness
+from arborchar import cli, oracle, witness
 from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, build_parser, main
 from arborchar.tangle import MAX_DEPTH, MAX_TWIST
 
@@ -175,7 +178,7 @@ CLI_MODULES = {"arborchar", "arborchar.errors", "arborchar.tangle", "arborchar.r
 
 # standard modules that cost a fresh process milliseconds to import and
 # that emit does not need
-SLOW_STDLIB = {"dataclasses", "inspect"}
+SLOW_STDLIB = {"dataclasses", "inspect", "locale"}
 
 
 def _arborchar_modules(modules: set[str]) -> set[str]:
@@ -236,6 +239,13 @@ class TestImportGraph:
         loaded = _modules_after([["witness", *_bench_witness_args(), "--out", out]])
         assert {"arborchar.witness", "arborchar.oracle", "arborchar.mat2"} <= loaded
 
+    def test_well_formed_calls_load_no_locale(self, tmp_path):
+        """argparse's message lookups import locale; a call that parses
+        without argparse never builds its parser, so locale stays out."""
+        out = str(tmp_path / "out.json")
+        loaded = _modules_after(_well_formed_argvs(out))
+        assert "locale" not in loaded
+
     def test_traced_names_resolve(self):
         """Every (module, attribute) the benchmark's tracer rebinds exists."""
         functions = _perfbench_constant("spans.py", "_FUNCTIONS")
@@ -246,6 +256,17 @@ class TestImportGraph:
     def test_suite_names_match_the_oracle(self):
         assert tuple(oracle._SUITES) == arborchar.SUITE_NAMES
         assert oracle.SUITE_NAMES is arborchar.SUITE_NAMES
+
+
+def _well_formed_argvs(out: str) -> list[list[str]]:
+    """One well-formed call of every command, writing to OUT."""
+    return [
+        ["emit", "--format", "json", "--out", out, "D([1/1] *v [1/2])"],
+        ["emit", "--format", "json", "--out", out, "--link", "D([3] *v [3] *v [3] *v [3])"],
+        ["components", "D([1/1] *v [1/2])"],
+        ["verify", "--suite", "identities", "--samples", "2"],
+        ["witness", *_bench_witness_args(), "--out", out],
+    ]
 
 
 def _run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
@@ -323,7 +344,9 @@ class TestVerify:
             ["verify", "--suite", "key", "--samples", "2", "--out", str(dest)]
         )
         assert code == EXIT_OK
-        payload = json.loads(dest.read_text())
+        text = dest.read_text()
+        assert text.endswith("}\n")  # as the emit and witness files end
+        payload = json.loads(text)
         assert payload["reports"][0]["suite"] == "key"
         assert payload["reports"][0]["passed"] is True
 
@@ -467,6 +490,23 @@ class TestWitness:
         assert capsys.readouterr().out == golden.read_text()
 
 
+class TestOutFile:
+    """An ``--out`` file holds the bytes the call prints without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["emit", "--format", "json", "D([1/1] *v [1/2])"],
+        ["emit", "--format", "text", "D([[2],[-2]] *v [2] *v ([1/3] *h [1/2]))"],
+        [*TestWitness.ARGS, "--t13-count", "5", "--seed", "1"],
+    ], ids=["emit-json", "emit-text", "witness"])
+    def test_file_holds_the_printed_bytes(self, argv, tmp_path, capsys):
+        assert _run(argv) == EXIT_OK
+        printed = capsys.readouterr().out.encode()
+        dest = tmp_path / "out"
+        assert _run([*argv, "--out", str(dest)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert dest.read_bytes() == printed
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         assert _run(["--version"]) == 0
@@ -499,19 +539,68 @@ def _choices(parser: argparse.ArgumentParser) -> list[str]:
     return list(sub.choices)
 
 
+def _argv_corpus(rng: random.Random, count: int) -> list[list[str]]:
+    """COUNT argvs mixing each command's flags in both value forms with
+    abbreviations, help and version flags, ``--``, negative numbers, NaN,
+    empty strings, repeats, extra positionals and missing options."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    values = ["json", "text", "xml", "all", "identities", "base", "3", "0", "-3", "07", " 4",
+              "1_000", "1e-6", "nan", "inf", "-1", "", "x", "1+1j", "-0.8+0.4j",
+              "D([1/1] *v [1/2])", "--link", "-h"]
+    noise = ["-h", "--help", "--version", "--", "-1", "-", "--bogus", "nan", "", "x",
+             "D([1/1] *v [1/2])", "N([2] *h [3])"]
+    corpus = []
+    for _ in range(count):
+        command = rng.choice([*sub.choices, *sub.choices, *sub.choices, "emti", "", None])
+        if command not in sub.choices:
+            corpus.append([] if command is None else [command, *rng.sample(noise, 2)])
+            continue
+        actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+        items = []
+        for action in actions:
+            if action.required and rng.random() < 0.9:
+                items.append(action)
+        items += rng.choices(actions, k=rng.randint(0, 4))
+        rng.shuffle(items)
+        argv = [command]
+        for action in items:
+            if not action.option_strings:
+                argv.append(rng.choice(noise[-4:]))
+                continue
+            flag = action.option_strings[0]
+            if rng.random() < 0.1:
+                flag = flag[:rng.randint(3, len(flag) - 1)] if len(flag) > 3 else flag + "x"
+            if action.nargs == 0:
+                argv.append(flag if rng.random() < 0.9 else flag + "=" + rng.choice(["", "1"]))
+                continue
+            choices = list(action.choices or [])
+            value = rng.choice(choices) if choices and rng.random() < 0.7 else rng.choice(values)
+            if rng.random() < 0.5:
+                argv.append(f"{flag}={value}")
+            else:
+                argv += [flag, value] if rng.random() < 0.95 else [flag]
+        if rng.random() < 0.15:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(noise))
+        corpus.append(argv)
+    return corpus
+
+
 class TestParser:
-    """``build_parser(name)`` builds only the named command's subparser, and
-    main answers every argv as the full tree does."""
+    """main parses a well-formed argv without argparse (``cli._parse_plain``)
+    into the namespace the full tree gives, and leaves every other argv to
+    the full tree."""
 
     COMMANDS = ["emit", "verify", "witness", "components"]
 
-    @pytest.mark.parametrize("name", COMMANDS)
-    def test_one_command_registers_one_choice(self, name):
-        assert _choices(build_parser(name)) == [name]
-
     @pytest.mark.parametrize("command", [None, "emti", "-h", ""])
-    def test_full_tree_lists_every_command_in_order(self, command):
-        assert _choices(build_parser(command)) == self.COMMANDS
+    def test_full_tree_lists_every_command_in_order(self, command, capsys):
+        assert _choices(build_parser()) == self.COMMANDS
+        # an argv with no known command is answered by the full tree
+        with pytest.raises(SystemExit):
+            main([] if command is None else [command])
+        captured = capsys.readouterr()
+        assert "{emit,verify,witness,components}" in captured.out + captured.err
 
     @pytest.mark.parametrize("argv", [
         ["emit", "D([1/1] *v [1/2])"],
@@ -528,7 +617,39 @@ class TestParser:
         ["components", "--file", "expr.txt"],
     ])
     def test_one_command_parses_as_the_full_tree(self, argv):
-        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+        got = cli._parse_plain(argv)
+        if "--" in argv:
+            assert got is None  # left to argparse
+        else:
+            assert vars(got) == vars(build_parser().parse_args(argv))
+
+    def test_well_formed_calls_build_no_parser(self, monkeypatch, tmp_path, capsys):
+        def refuse():
+            raise AssertionError("build_parser called")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv in _well_formed_argvs(str(tmp_path / "out.json")):
+            assert main(argv) == EXIT_OK, argv
+
+    def test_random_argvs_parse_as_the_full_tree(self):
+        """On a seeded corpus the plain parser either declines or gives the
+        full tree's namespace; it never accepts what argparse refuses."""
+        parser = build_parser()
+        corpus = _argv_corpus(random.Random(0), 2500)
+        accepted = 0
+        for argv in corpus:
+            got = cli._parse_plain(argv)
+            if got is None:
+                continue
+            accepted += 1
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    want = vars(parser.parse_args(argv))
+            except SystemExit:
+                want = None
+            assert vars(got) == want, argv
+        assert 500 < accepted < len(corpus) - 500
 
     @pytest.mark.parametrize("argv", [
         ["-h"],

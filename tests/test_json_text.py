@@ -137,7 +137,7 @@ def test_verify_report(tmp_path, capsys):
     dest = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(dest)]) == EXIT_OK
     text = dest.read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), indent=2)  # no trailing newline
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"  # as emit and witness
 
 
 def _reference_json(p: MultiPoly) -> dict:
