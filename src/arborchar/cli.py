@@ -9,7 +9,8 @@ every flag is declared once.  Any other argv (help, `--version`, `--`, an
 abbreviation, a bad value, a missing option) goes to argparse's full
 command tree, which gives its help texts, usage lines, error messages and
 exit codes; a well-formed call never builds that tree, nor loads the
-`locale` module that argparse's message lookups import.  Importing this
+`locale` module that argparse's message lookups import; argparse itself
+is imported only where it is used.  Importing this
 module loads `tangle`, `ratfun`, `invariants` and `chebyshev`, all that
 `emit` and `components` use; `links` (`emit --link`), `oracle` and `mat2`
 (`verify`, `witness`) and `witness` are imported on the first call of the
@@ -25,11 +26,12 @@ Exit codes: 0 success, 2 input/validation error, 3 unsupported scope,
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from importlib import import_module
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import RESIDUAL_TOL, SUITE_NAMES, __version__
 from .errors import (
@@ -41,6 +43,9 @@ from .errors import (
 from .invariants import Presentation, closure_equations
 from .ratfun import MultiPoly
 from .tangle import ClosureExpr, component_count, parse
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _deferred(module: str, name: str):
@@ -74,6 +79,7 @@ def _tolerance(raw: str) -> float:
     except ValueError:
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
+        import argparse
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, not {raw!r}")
     return tol
 
@@ -85,6 +91,7 @@ def _count(raw: str) -> int:
     except ValueError:
         n = 0
     if n < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"count must be an integer >= 1, not {raw!r}")
     return n
 
@@ -378,6 +385,7 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The full argparse command tree, for the argvs `_parse_plain`
     declines."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="arborchar",
         description=(
@@ -424,13 +432,14 @@ class _Spec:
             self.required.add(dest)
 
 
-def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse's full tree gives a well-formed `argv`, or
     None for an argv left to argparse: no known command, a token starting
     with "-" that is not an exact flag of the command (`-h`, `--`, an
     abbreviation, a negative number), a separate value starting with "-"
     or missing, a value its converter or choices refuse, `--flag=` on a
-    switch, a second positional, or a missing required option."""
+    switch, a second positional, or a missing required option.  The
+    namespace is a `SimpleNamespace` whose `vars()` are argparse's."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _help, add_args, handler = _COMMANDS[argv[0]]
@@ -461,7 +470,9 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         if convert is not None:
             try:
                 value = convert(raw)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except Exception:
+                # ArgumentTypeError among them; argparse calls the
+                # converter again and reports or raises what it raises
                 return None
         if choices is not None and value not in choices:
             return None
@@ -469,7 +480,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         missing.discard(dest)
     if missing:
         return None
-    return argparse.Namespace(command=argv[0], **values, func=handler)
+    return SimpleNamespace(command=argv[0], **values, func=handler)
 
 
 def main(argv: list[str] | None = None) -> int:

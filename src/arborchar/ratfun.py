@@ -1,28 +1,30 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q.
 
-Polynomials are sparse: a dict from exponent tuples to coefficients.  A
+Polynomials are sparse: a dict from packed monomials to coefficients.  A
 coefficient is an ``int`` when it is integral and a ``Fraction`` only when
 it is not (see ``_canon``), so arithmetic on the integer polynomials that
-``RatFun`` normalises to builds no Fraction.  Exponent tuples are indexed
-against a global, append-only variable registry and stored with trailing
-zeros trimmed, so values stay canonical when later variables are
-registered.  The monomial order is graded lexicographic with
-earlier-registered variables taking priority.
+``RatFun`` normalises to builds no Fraction.  Exponents are indexed against
+a global, append-only variable registry.  The monomial order is graded
+lexicographic with earlier-registered variables taking priority.
 
-Products and exact divisions pack exponent tuples into ints for the span of
-one operation (``_Packing``; Johnson, SIGSAM Bull. 1974; Monagan and
-Pearce, CASC 2007): a total-degree field, then one field per variable, each
-with a guard bit.  A product of monomials is then an int sum, a
-divisibility test is one mask, and int order is the monomial order, which
-``leading`` and the JSON writers (``to_json`` and the text that
-``arborchar emit`` writes) use as well.  Operands and results
-keep their tuple keys.  A factor with a single term is applied as an exponent
-shift and a coefficient scale, without packing: no two of its products can
-collide.  ``FactoredRatFun`` keeps a rational scalar apart from its
-numerator, so the integer numerators that ``RatFun`` normalises to stay
-integer through its arithmetic.  A ``FactoredRatFun`` quotient cancels the
-divisor's denominator in its exponent map and multiplies into the
-numerator only the powers whose exponent would go negative.
+Each monomial is one int (``_Packing``; Johnson, SIGSAM Bull. 1974; Monagan
+and Pearce, CASC 2007): a total-degree field on top, then one 16-bit field
+per registry position up to the polynomial's last used variable, its
+``width``.  Empty trailing fields are trimmed, so equal polynomials have
+equal dicts.  A product of monomials is then an int sum, a divisibility
+test is one mask, and int order is the monomial order, which ``leading``,
+exact division and the JSON writers (``to_json`` and the text that
+``arborchar emit`` writes) use.  An operand narrower than the other is
+aligned with one left shift of its keys.  Exponent tuples appear only where
+a polynomial is built from them (``MultiPoly(mapping)``, ``from_json``)
+or shown as them (``exponent_terms``, ``leading``).  A
+factor with a single term is applied as a key shift and a coefficient
+scale: no two of its products can collide.  ``FactoredRatFun`` keeps a
+rational scalar apart from its numerator, so the integer numerators that
+``RatFun`` normalises to stay integer through its arithmetic.  A
+``FactoredRatFun`` quotient cancels the divisor's denominator in its
+exponent map and multiplies into the numerator only the powers whose
+exponent would go negative.
 
 This module is the only one that maps variable names to exponent
 positions.  Other modules work by name: ``relabel`` takes a
@@ -55,13 +57,14 @@ so all of them can share ``_ONE``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd, lcm
-from operator import add, and_, itemgetter, lshift, or_
-from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
+from operator import and_, itemgetter, lshift, neg, or_, rshift
+from struct import Struct
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ConditioningError, DomainError
 
@@ -103,10 +106,6 @@ REGISTRY = VarRegistry()
 REGISTRY.add("t")
 
 
-#: The keys of a constant polynomial's terms are a subset of this set.
-_CONST_KEYS = frozenset({()})
-
-
 def _canon(c) -> Scalar:
     """c as an exact scalar: an int when it is integral, else a Fraction."""
     if type(c) is not int:
@@ -126,113 +125,125 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-def _trim(exp: tuple[int, ...]) -> tuple[int, ...]:
-    if exp and not exp[-1]:
-        # length up to the last nonzero exponent, found without a Python loop
-        return exp[: next(compress(range(len(exp), 0, -1), reversed(exp)), 0)]
-    return exp
+def _trim(exp: Sequence[int]) -> tuple[int, ...]:
+    """exp without its trailing zeros."""
+    # length up to the last nonzero exponent, found without a Python loop
+    return tuple(exp[: next(compress(range(len(exp), 0, -1), reversed(exp)), 0)])
 
 
-def _pad(exp: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return exp + (0,) * (n - len(exp))
+#: Bits of one field of a packed monomial, guard bit included.
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+#: Every total degree, and so every exponent, is below this: the guard bit
+#: of each field stays clear.
+_DEGREE_LIMIT = 1 << (_BITS - 1)
 
 
 class _Packing:
-    """Exponent tuples packed into ints, for the span of one operation.
+    """The layout of the packed monomials of a polynomial of one width.
 
     Fields, most significant first: the total degree, then the exponent of
-    each variable in registry order.  So int order is the monomial order and
-    a product of monomials is a sum of ints.  A field is one byte when the
-    operation's degree bound is below 128 and two bytes below 32768, so its
-    top bit, the guard bit, is clear in every monomial of the operation.
-    For packed a and b, ``(a - b) & guard`` is then nonzero exactly when
-    some exponent of a is less than that of b: the least significant such
-    field is the first to borrow, which sets its guard bit, and with no such
-    field nothing borrows.  ``guard`` masks the exponent fields' guard bits.
-    """
+    each registry variable below ``width``.  Each field is 16 bits, and
+    every total degree is below 32768, so the top bit of each field, its
+    guard bit, is clear in every monomial; a product or a polynomial of a
+    larger degree raises ``DomainError``.  So int order is the monomial
+    order and a product of monomials is a sum of ints.  For packed a and b,
+    ``(a - b) & guard`` is then nonzero exactly when some exponent of a is
+    less than that of b: the least significant such field is the first to
+    borrow, which sets its guard bit, and with no such field nothing
+    borrows.  ``guard`` masks the exponent fields' guard bits."""
 
-    __slots__ = ("guard", "_bytes", "_width", "_ends", "_top")
+    __slots__ = ("width", "guard", "_size", "_fields")
 
-    def __init__(self, degree: int, width: int):
-        """A packing for monomials in at most ``width`` variables whose total
-        degree is at most ``degree``."""
-        if degree < 1 << 7:
-            size = 1
-        elif degree < 1 << 15:
-            size = 2
-        else:
-            raise DomainError(f"total degree {degree} is too large to pack")
-        bits = 8 * size
-        self._bytes = size
-        self._width = width
-        # _ends[n] is the shift of variable n - 1's field, so it places a
-        # tuple of length n whose fields are laid out end to end (an empty
-        # tuple packs to 0 under any shift); _ends[1:] places each field
-        self._ends = range(bits * width, -1, -bits)
-        self._top = bits * width
-        self.guard = int.from_bytes(b"\x80".ljust(size, b"\0") * width, "big")
+    def __init__(self, width: int):
+        self.width = width
+        self.guard = int.from_bytes(b"\x80\0" * width, "big")
+        self._size = 2 * (width + 1)
+        self._fields = Struct(f">2x{width}H").unpack
 
-    def pack(self, exps: Collection[tuple[int, ...]]) -> Iterator[int]:
-        """The packed monomials of a collection of exponent tuples, in its
-        order.  With one-byte fields every step is a builtin mapped over the
-        collection, with no Python frame per monomial; so is ``unpack``."""
-        if self._bytes == 1:
-            fields = map(int.from_bytes, map(bytes, exps), repeat("big"))
-            low = map(lshift, fields, map(self._ends.__getitem__, map(len, exps)))
-        else:
-            shifts = self._ends[1:]
-            low = (sum(map(lshift, e, shifts)) for e in exps)
-        return map(add, low, map(lshift, map(sum, exps), repeat(self._top)))
-
-    def fields(self, keys: Iterable[int]) -> Iterator[Sequence[int]]:
+    def exponents(self, keys: Iterable[int]) -> Iterator[tuple[int, ...]]:
         """The exponent fields of packed monomials, in their order: for each,
-        one exponent per variable of the packing's width, trailing zeros
-        included, so that a variable's exponent is at its registry position.
-        With one-byte fields these are ``bytes``, else tuples."""
-        size = self._bytes
-        # the exponent fields, without the degree field above them
-        fields = map(int.to_bytes, map(and_, keys, repeat((1 << self._top) - 1)),
-                     repeat(size * self._width), repeat("big"))
-        if size == 1:
-            return fields
-        return (tuple(map(add, map(lshift, f[::2], repeat(8)), f[1::2])) for f in fields)
+        one exponent per registry position below the width."""
+        return map(self._fields, map(int.to_bytes, keys, repeat(self._size), repeat("big")))
 
-    def unpack(self, keys: Iterable[int]) -> Iterator[tuple[int, ...]]:
-        """The trimmed exponent tuples of packed monomials, in their order."""
-        if self._bytes == 1:
-            return map(tuple, map(bytes.rstrip, self.fields(keys), repeat(b"\0")))
-        return map(_trim, self.fields(keys))
+    def rows(self, keys: Iterable[int], used: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """The exponents of packed monomials at the registry positions
+        ``used``, an increasing sequence, in their order: one unpack that
+        skips the degree field and every other position."""
+        used = set(used)
+        fields = Struct(">2x" + "".join("H" if i in used else "2x" for i in range(self.width)))
+        return map(fields.unpack, map(int.to_bytes, keys, repeat(self._size), repeat("big")))
+
+
+_packing = lru_cache(maxsize=None)(_Packing)
+
+
+def _poly(terms: dict[int, Scalar], width: int) -> "MultiPoly":
+    """The polynomial of packed terms of this width, whose last field some
+    term uses (or an empty width for a constant)."""
+    p = MultiPoly.__new__(MultiPoly)
+    p.terms = terms
+    p.width = width
+    return p
+
+
+def _trimmed(terms: dict[int, Scalar], width: int) -> "MultiPoly":
+    """The polynomial of packed terms of this width, with the trailing
+    fields that no term uses dropped."""
+    # the lowest set bit of all keys' bitwise or is in the last used field;
+    # with no exponent field used, every key is 0
+    used = reduce(or_, terms, 0)
+    empty = ((used & -used).bit_length() - 1) // _BITS if used else width
+    if empty:
+        terms = dict(zip(map(rshift, terms, repeat(_BITS * empty)), terms.values()))
+    return _poly(terms, width - empty)
 
 
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients, each
-    an int when integral and a Fraction otherwise."""
+    an int when integral and a Fraction otherwise.  ``terms`` maps packed
+    monomials of ``width`` fields (see ``_Packing``) to coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "width")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        clean: dict[tuple[int, ...], Scalar] = {}
-        if terms:
-            for exp, coef in terms.items():
-                c = _canon(coef)
-                if c:
-                    clean[_trim(tuple(exp))] = c
+    def __init__(self, terms: Mapping[Sequence[int], Scalar] | None = None):
+        """The polynomial of a map from exponent tuples, indexed by registry
+        position, to coefficients."""
+        pairs = []
+        width = 0
+        for exp, coef in (terms or {}).items():
+            c = _canon(coef)
+            if c:
+                exp = _trim(exp)
+                width = max(width, len(exp))
+                pairs.append((exp, c))
+        pack = Struct(f">{width + 1}H").pack
+        clean: dict[int, Scalar] = {}
+        for exp, c in pairs:
+            degree = sum(exp)
+            if degree >= _DEGREE_LIMIT or min(exp, default=0) < 0:
+                raise DomainError(f"cannot pack the exponents {exp}")
+            key = pack(degree, *exp, *repeat(0, width - len(exp)))
+            clean[int.from_bytes(key, "big")] = c
         self.terms = clean
+        self.width = width
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly()
+        return _poly({}, 0)
 
     @staticmethod
     def const(c: Scalar) -> "MultiPoly":
-        return MultiPoly({(): c})
+        c = _canon(c)
+        return _poly({0: c} if c else {}, 0)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        i = REGISTRY.add(name)
-        return MultiPoly({(0,) * i + (1,): 1})
+        width = REGISTRY.add(name) + 1
+        # degree 1 in the degree field, exponent 1 in the last field
+        return _poly({(1 << _BITS * width) + 1: 1}, width)
 
     # -- basic queries -----------------------------------------------------
 
@@ -240,8 +251,8 @@ class MultiPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        # exponents are trimmed, so a constant term's exponent is ()
-        return self.terms.keys() <= _CONST_KEYS
+        # trailing fields are trimmed, so only a constant has no field
+        return not self.width
 
     def const_value(self) -> Scalar:
         if not self.terms:
@@ -251,53 +262,48 @@ class MultiPoly:
         return next(iter(self.terms.values()))
 
     def total_degree(self) -> int:
-        return max(map(sum, self.terms), default=0)
+        return max(self.terms, default=0) >> _BITS * self.width
 
     def degree_in(self, var: str) -> int:
         i = REGISTRY.index(var)
-        return max((e[i] if i < len(e) else 0 for e in self.terms), default=0)
+        if i >= self.width:
+            return 0
+        shift = _BITS * (self.width - 1 - i)
+        return max(map(and_, map(rshift, self.terms, repeat(shift)), repeat(_FIELD)), default=0)
 
-    def _positions(self) -> set[int]:
-        """The exponent positions some term uses."""
-        return {i for e in self.terms for i, p in enumerate(e) if p}
+    def _positions(self) -> list[int]:
+        """The registry positions some term uses, in increasing order: the
+        nonzero fields of the keys' bitwise or."""
+        used = reduce(or_, self.terms, 0)
+        width = self.width
+        return [i for i in range(width) if used >> _BITS * (width - 1 - i) & _FIELD]
 
     def variables(self) -> set[str]:
         return set(map(REGISTRY.name, self._positions()))
 
-    def _width(self) -> int:
-        return max(map(len, self.terms), default=0)
-
-    def _packing(self) -> _Packing:
-        return _Packing(self.total_degree(), self._width())
+    def exponent_terms(self) -> Iterator[tuple[tuple[int, ...], Scalar]]:
+        """Each term as (exponent tuple, coefficient), in the terms' order:
+        the exponent of the registry variable at position i is entry i,
+        and trailing zeros are trimmed."""
+        return zip(map(_trim, _packing(self.width).exponents(self.terms)), self.terms.values())
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
+        """The greatest term, as (exponent tuple, coefficient)."""
         if not self.terms:
             raise DomainError("zero polynomial has no leading term")
-        if len(self.terms) == 1:
-            return next(iter(self.terms.items()))
-        packing = self._packing()
-        (exp,) = packing.unpack([max(packing.pack(self.terms))])
-        return exp, self.terms[exp]
+        key = max(self.terms)
+        (exp,) = _packing(self.width).exponents([key])
+        return _trim(exp), self.terms[key]
 
     def _rows(self) -> tuple[list[int], Iterator[Scalar], Iterator[Sequence[int]]]:
         """The terms in decreasing monomial order, as the registry positions
         that some term uses, then each term's coefficient, then each term's
         exponents in the used variables: the one projection that both JSON
         forms write."""
-        packing = self._packing()
-        keys = list(packing.pack(self.terms))
-        coefs = list(self.terms.values())
-        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-        rows = packing.fields(map(keys.__getitem__, order))
-        # a field of the keys' bitwise or is nonzero when some term uses it
-        (mask,) = packing.fields([reduce(or_, keys, 0)])
-        used = list(compress(range(len(mask)), mask))
-        if len(used) < len(mask):
-            # a gap below the last used position; a one-item itemgetter
-            # would give an int, so the one-variable case takes a slice
-            project = itemgetter(*used) if len(used) > 1 else itemgetter(slice(used[0], used[0] + 1))
-            rows = map(project, rows)
-        return used, map(coefs.__getitem__, order), rows
+        keys = sorted(self.terms, reverse=True)
+        used = self._positions()
+        rows = _packing(self.width).rows(keys, used)
+        return used, map(self.terms.__getitem__, keys), rows
 
     # -- arithmetic --------------------------------------------------------
 
@@ -306,35 +312,41 @@ class MultiPoly:
         if type(other) is MultiPoly:
             return other
         if type(other) is int:
-            # an int is already canonical, and () is already trimmed
-            p = MultiPoly.__new__(MultiPoly)
-            p.terms = {(): other} if other else {}
-            return p
+            # an int is already canonical
+            return _poly({0: other} if other else {}, 0)
         if isinstance(other, (int, Fraction)):
             return MultiPoly.const(other)
         return NotImplemented  # type: ignore[return-value]
+
+    def _aligned(self, width: int) -> dict[int, Scalar]:
+        """The terms packed in ``width`` fields, at least this polynomial's
+        own: one left shift of every key."""
+        if width == self.width:
+            return self.terms
+        shift = _BITS * (width - self.width)
+        return dict(zip(map(lshift, self.terms, repeat(shift)), self.terms.values()))
 
     def __add__(self, other: Coercible) -> "MultiPoly":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
+        width = max(self.width, o.width)
+        out = dict(self._aligned(width))
+        cancelled = False
+        for k, c in o._aligned(width).items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = _canon(s)
+                out[k] = _canon(s)
             else:
-                out.pop(e, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = out
-        return p
+                del out[k]
+                cancelled = True
+        # a cancelled term may have been the last to use a field
+        return _trimmed(out, width) if cancelled else _poly(out, width)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _poly(dict(zip(self.terms, map(neg, self.terms.values()))), self.width)
 
     def __sub__(self, other: Coercible) -> "MultiPoly":
         o = self._coerce(other)
@@ -349,33 +361,27 @@ class MultiPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = MultiPoly.__new__(MultiPoly)
-        if len(self.terms) == 1 or len(o.terms) == 1:
-            # a monomial factor shifts exponents: no two products collide.
-            # The sum of trimmed tuples, with the longer one's tail, is
-            # trimmed.
-            if len(o.terms) == 1:
-                terms, ((m, cm),) = self.terms, o.terms.items()
+        if not self.terms or not o.terms:
+            return _poly({}, 0)
+        # the product of two nonzero polynomials uses the last field of the
+        # wider one, so it keeps that width
+        width = max(self.width, o.width)
+        a, b = self._aligned(width), o._aligned(width)
+        if (max(a) + max(b)) >> _BITS * width >= _DEGREE_LIMIT:
+            raise DomainError(f"total degree {self.total_degree() + o.total_degree()} is too large to pack")
+        if len(a) == 1 or len(b) == 1:
+            # a monomial factor shifts keys: no two products collide
+            if len(b) == 1:
+                terms, ((m, cm),) = a, b.items()
             else:
-                terms, ((m, cm),) = o.terms, self.terms.items()
-            if m:
-                n = len(m)
-                p.terms = {
-                    tuple(map(add, e, m)) + e[n:] + m[len(e):]: _canon(c * cm)
-                    for e, c in terms.items()
-                }
-            else:
-                p.terms = {e: _canon(c * cm) for e, c in terms.items()}
-            return p
+                terms, ((m, cm),) = b, a.items()
+            return _poly({k + m: _canon(c * cm) for k, c in terms.items()}, width)
         # products are inserted pair by pair in the operands' term order,
         # which fixes the order of the product's terms (named_terms yields
         # them in that order)
-        packing = _Packing(
-            self.total_degree() + o.total_degree(), max(self._width(), o._width())
-        )
-        right = list(zip(packing.pack(o.terms), o.terms.values()))
+        right = list(b.items())
         out: dict[int, Scalar] = {}
-        for k1, c1 in zip(packing.pack(self.terms), self.terms.values()):
+        for k1, c1 in a.items():
             for k2, c2 in right:
                 k = k1 + k2
                 s = out.get(k)
@@ -384,8 +390,9 @@ class MultiPoly:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        p.terms = dict(zip(packing.unpack(out), map(_canon, out.values())))
-        return p
+        if {int} != set(map(type, out.values())):
+            out = dict(zip(out, map(_canon, out.values())))
+        return _poly(out, width)
 
     __rmul__ = __mul__
 
@@ -397,8 +404,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -421,6 +429,13 @@ class MultiPoly:
         leading term, so no step re-scans or copies the remainder.  Leading
         terms are taken in graded lexicographic order, and the quotient is
         unique, so the result does not depend on the method.
+
+        When the divisor leaves some of self's variables out, self is the
+        sum of m * c_m over the monomials m in those variables, and the
+        divisor divides self only if it divides each m * c_m.  The terms of
+        the greatest m are divided first: one mask, ``max`` and
+        ``compress`` pick them out, and a failing trial division usually
+        fails there, at a fraction of the cost of the whole.
         """
         if divisor.is_zero():
             raise DomainError("division by the zero polynomial")
@@ -428,60 +443,42 @@ class MultiPoly:
             return MultiPoly.zero()
         if divisor.is_const():
             return self._divscalar(divisor.const_value())
-        # no monomial of the division has a higher degree than the dividend
-        # or the divisor
-        packing = _Packing(
-            max(self.total_degree(), divisor.total_degree()),
-            max(self._width(), divisor._width()),
-        )
-        tail = dict(zip(packing.pack(divisor.terms), divisor.terms.values()))
+        width = self.width
+        if divisor.width > width:
+            # a product uses the last variable of each factor
+            return None
+        tail = dict(divisor._aligned(width))
         dk = max(tail)
         dcoef = tail.pop(dk)
-        # remainder keyed by packed monomials; the heap holds them negated,
-        # so its least entry is the greatest monomial
-        rem = dict(zip(packing.pack(self.terms), self.terms.values()))
-        heap = [-k for k in rem]
-        heapify(heap)
-        guard = packing.guard
-        quo: dict[int, Scalar] = {}
-        while heap:
-            lk = -heappop(heap)
-            lcoef = rem.pop(lk, None)
-            if lcoef is None:  # cancelled, or a repeated heap entry
-                continue
-            qk = lk - dk
-            if qk & guard:  # an exponent of the quotient term is negative
-                return None
-            qc = _div(lcoef, dcoef)
-            quo[qk] = qc
-            for k, c in tail.items():
-                m = qk + k
-                v = rem.get(m)
-                if v is None:
-                    rem[m] = -qc * c
-                    heappush(heap, -m)
-                else:
-                    v -= qc * c
-                    if v:
-                        rem[m] = v
-                    else:
-                        del rem[m]
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = dict(zip(packing.unpack(quo), quo.values()))
-        return p
+        guard = _packing(width).guard
+        # the exponent fields of the variables that the divisor does not use
+        used = reduce(or_, tail, dk)
+        others = sum(_FIELD << s for s in range(0, _BITS * width, _BITS) if not used >> s & _FIELD)
+        if others:
+            parts = list(map(and_, self.terms, repeat(others)))
+            top = max(parts)
+            if top:
+                part = dict(compress(self.terms.items(), map(top.__eq__, parts)))
+                if len(part) < len(self.terms) and _heap_divide(part, dk, dcoef, tail, guard) is None:
+                    return None
+        quo = _heap_divide(dict(self.terms), dk, dcoef, tail, guard)
+        return None if quo is None else _trimmed(quo, width)
 
     # -- substitution and evaluation ----------------------------------------
 
     def coeffs_in(self, var: str) -> dict[int, "MultiPoly"]:
         """Split into coefficients of powers of one variable."""
         i = REGISTRY.index(var)
-        out: dict[int, dict[tuple[int, ...], Scalar]] = {}
-        for e, c in self.terms.items():
-            p = e[i] if i < len(e) else 0
-            rest = list(_pad(e, i + 1))
-            rest[i] = 0
-            out.setdefault(p, {})[_trim(tuple(rest))] = c
-        return {p: MultiPoly(t) for p, t in out.items()}
+        width = self.width
+        if i >= width:
+            return {0: self} if self.terms else {}
+        shift = _BITS * (width - 1 - i)
+        top = _BITS * width
+        out: dict[int, dict[int, Scalar]] = {}
+        for k, c in self.terms.items():
+            p = k >> shift & _FIELD
+            out.setdefault(p, {})[k - (p << shift) - (p << top)] = c
+        return {p: _trimmed(t, width) for p, t in out.items()}
 
     def subs_poly(self, var_index: int, value: "MultiPoly") -> "MultiPoly":
         """Substitute value for the variable at registry index var_index.
@@ -496,27 +493,25 @@ class MultiPoly:
 
     def relabel(self, names: Mapping[str, str]) -> "MultiPoly":
         """Substitute variable ``names[v]`` for variable ``v``, for every key
-        at once, by moving exponent positions; no coefficient arithmetic
+        at once, by moving exponent fields; no coefficient arithmetic
         unless two monomials land on the same one.  New names are
         registered in the map's order."""
         moves = {REGISTRY.index(old): REGISTRY.add(new) for old, new in names.items()}
         if not moves or not self.terms:
             return self
-        n = self._width()
-        # moved positions only: a wide exponent tuple is copied, not walked
-        shift = [(i, j) for i, j in moves.items() if i < n and i != j]
+        # moved fields only, each read from the key before any move
+        shift = [(i, j) for i, j in moves.items() if i < self.width and i != j]
         if not shift:
             return self
-        zeros = [0] * max(n, max(j for _, j in shift) + 1)
-        out: dict[tuple[int, ...], Scalar] = {}
-        for e, c in self.terms.items():
-            new = list(e)
-            new += zeros[len(e):]
+        width = max(self.width, max(j for _, j in shift) + 1)
+        shift = [(_BITS * (width - 1 - i), _BITS * (width - 1 - j)) for i, j in shift]
+        out: dict[int, Scalar] = {}
+        for k, c in self._aligned(width).items():
+            key = k
             for i, j in shift:
-                if i < len(e) and e[i]:
-                    new[i] -= e[i]
-                    new[j] += e[i]
-            key = _trim(tuple(new))
+                e = k >> i & _FIELD
+                if e:
+                    key += (e << j) - (e << i)
             if key in out:
                 s = out[key] + c
                 if s:
@@ -525,15 +520,13 @@ class MultiPoly:
                     del out[key]
             else:
                 out[key] = c
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = out
-        return p
+        return _trimmed(out, width)
 
     def eval(self, point: Mapping[str, complex | Scalar]) -> complex | Scalar:
         """Evaluate at a point given by variable name."""
         total: complex | Scalar = 0
         values = {REGISTRY.index(n): v for n, v in point.items()}
-        for e, c in self.terms.items():
+        for e, c in zip(_packing(self.width).exponents(self.terms), self.terms.values()):
             term: complex | Scalar = c
             for i, p in enumerate(e):
                 if p:
@@ -547,7 +540,7 @@ class MultiPoly:
 
     def named_terms(self) -> Iterator[tuple[dict[str, int], Scalar]]:
         """Each term as ({variable name: power}, coefficient)."""
-        for e, c in self.terms.items():
+        for e, c in zip(_packing(self.width).exponents(self.terms), self.terms.values()):
             yield {REGISTRY.name(i): p for i, p in enumerate(e) if p}, c
 
     # -- normalization helpers ----------------------------------------------
@@ -581,9 +574,7 @@ class MultiPoly:
 
     def _divscalar(self, c: Scalar) -> "MultiPoly":
         """self / c for a nonzero scalar c."""
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = {e: _div(v, c) for e, v in self.terms.items()}
-        return p
+        return _poly({k: _div(v, c) for k, v in self.terms.items()}, self.width)
 
     # -- rendering -----------------------------------------------------------
 
@@ -655,8 +646,43 @@ class MultiPoly:
             exp = [0] * (max(idx) + 1 if idx else 0)
             for k, p in enumerate(t["exp"]):
                 exp[idx[k]] = p
-            terms[_trim(tuple(exp))] = Fraction(t["coef"])
+            terms[tuple(exp)] = Fraction(t["coef"])
         return MultiPoly(terms)
+
+
+def _heap_divide(rem: dict[int, Scalar], dk: int, dcoef: Scalar, tail: dict[int, Scalar],
+                 guard: int) -> dict[int, Scalar] | None:
+    """The quotient's terms of the packed dividend rem by the divisor with
+    leading term (dk, dcoef) and other terms tail, or None when a step
+    needs a negative exponent; rem is used up."""
+    # the heap holds the remainder's monomials negated, so its least entry
+    # is the greatest monomial
+    heap = [-k for k in rem]
+    heapify(heap)
+    quo: dict[int, Scalar] = {}
+    while heap:
+        lk = -heappop(heap)
+        lcoef = rem.pop(lk, None)
+        if lcoef is None:  # cancelled, or a repeated heap entry
+            continue
+        qk = lk - dk
+        if qk & guard:  # an exponent of the quotient term is negative
+            return None
+        qc = _div(lcoef, dcoef)
+        quo[qk] = qc
+        for k, c in tail.items():
+            m = qk + k
+            v = rem.get(m)
+            if v is None:
+                rem[m] = -qc * c
+                heappush(heap, -m)
+            else:
+                v -= qc * c
+                if v:
+                    rem[m] = v
+                else:
+                    del rem[m]
+    return quo
 
 
 def _text(names: Sequence[str], coefs: Iterable[Scalar], rows: Iterable[Sequence[int]]) -> str:
@@ -705,8 +731,8 @@ class RatFun:
         n = MultiPoly._coerce(num)
         d = MultiPoly._coerce(den)
         if d.terms == _ONE.terms and all(type(c) is int for c in n.terms.values()):
-            # both passes below are the identity here: den's only exponent
-            # is (), so no monomial is shared, and num's content is an int,
+            # both passes below are the identity here: den's only key is
+            # 0, so no monomial is shared, and num's content is an int,
             # so the scale s is 1
             self.num = n
             self.den = _ONE
@@ -717,13 +743,15 @@ class RatFun:
             self.num = MultiPoly.zero()
             self.den = _ONE
             return
-        # common monomial factor: exponents are trimmed, so a variable past
-        # the end of any exponent tuple has exponent 0 there
-        shared = tuple(map(min, zip(*n.terms, *d.terms)))
-        if any(shared):
-            mono = MultiPoly({_trim(shared): 1})
-            n = n.divexact(mono)  # type: ignore[assignment]
-            d = d.divexact(mono)  # type: ignore[assignment]
+        # common monomial factor, none when a constant term (key 0) is
+        # there; a variable past the narrower width has exponent 0 there
+        if 0 not in n.terms and 0 not in d.terms:
+            shared = tuple(map(min, zip(*_packing(n.width).exponents(n.terms),
+                                        *_packing(d.width).exponents(d.terms))))
+            if any(shared):
+                mono = MultiPoly({shared: 1})
+                n = n.divexact(mono)  # type: ignore[assignment]
+                d = d.divexact(mono)  # type: ignore[assignment]
         # joint content normalization: num and den are divided by one scalar
         # s, so that num gets integer coefficients and den becomes the least
         # integer multiple of its primitive part (positive leading
@@ -789,10 +817,11 @@ class RatFun:
         p = self.as_poly()
         if len(p.terms) != 1:
             return None
-        (exp, coef), = p.terms.items()
-        if coef != 1 or sum(exp) != 1:
+        (key, coef), = p.terms.items()
+        # trimmed, a variable is the last field, and degree 1
+        if coef != 1 or key != (1 << _BITS * p.width) + 1:
             return None
-        return REGISTRY.name(exp.index(1))
+        return REGISTRY.name(p.width - 1)
 
     def variables(self) -> set[str]:
         return self.num.variables() | self.den.variables()

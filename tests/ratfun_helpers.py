@@ -47,8 +47,14 @@ def _canonical(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def tuple_terms(p: MultiPoly) -> dict:
+    """p's terms keyed by trimmed exponent tuples, in p's term order: the
+    kernel's public tuple view."""
+    return dict(p.exponent_terms())
+
+
 def _width(*polys: MultiPoly) -> int:
-    return max((len(e) for p in polys for e in p.terms), default=0)
+    return max((len(e) for p in polys for e in tuple_terms(p)), default=0)
 
 
 def grlex_key(exp: tuple, width: int) -> tuple:
@@ -61,7 +67,7 @@ def grlex_terms(p: MultiPoly) -> list:
     """p's (exponents, coefficient) terms in decreasing graded
     lexicographic order."""
     width = _width(p)
-    return sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0], width), reverse=True)
+    return sorted(tuple_terms(p).items(), key=lambda kv: grlex_key(kv[0], width), reverse=True)
 
 
 def written_terms(p: MultiPoly) -> list:
@@ -82,8 +88,8 @@ def reference_mul(a: MultiPoly, b: MultiPoly) -> dict:
     """Terms of a * b, accumulated pair by pair in the operands' order."""
     width = _width(a, b)
     out: dict = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+    for e1, c1 in tuple_terms(a).items():
+        for e2, c2 in tuple_terms(b).items():
             e = tuple(x + y for x, y in zip(_padded(e1, width), _padded(e2, width)))
             s = out.get(e, 0) + c1 * c2
             if s:
@@ -93,13 +99,26 @@ def reference_mul(a: MultiPoly, b: MultiPoly) -> dict:
     return {_trimmed(e): _canonical(c) for e, c in out.items()}
 
 
+def reference_sum(a: MultiPoly, b: MultiPoly) -> dict:
+    """Terms of a + b: a's terms in their order, then b's new ones."""
+    out = tuple_terms(a)
+    for e, c in tuple_terms(b).items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = _canonical(s)
+        else:
+            out.pop(e)
+    return out
+
+
 def reference_divexact(a: MultiPoly, d: MultiPoly) -> dict | None:
     """Terms of a / d by schoolbook division at the remainder's leading
     term, or None when a step needs a negative exponent."""
     width = _width(a, d)
-    lead = _padded(max(d.terms, key=lambda e: grlex_key(e, width)), width)
-    dc = d.terms[_trimmed(lead)]
-    rem = {_padded(e, width): c for e, c in a.terms.items()}
+    divisor = tuple_terms(d)
+    lead = _padded(max(divisor, key=lambda e: grlex_key(e, width)), width)
+    dc = divisor[_trimmed(lead)]
+    rem = {_padded(e, width): c for e, c in tuple_terms(a).items()}
     quo: dict = {}
     while rem:
         m = max(rem, key=lambda e: grlex_key(e, width))
@@ -108,7 +127,7 @@ def reference_divexact(a: MultiPoly, d: MultiPoly) -> dict | None:
             return None
         qc = Fraction(rem[m]) / dc
         quo[_trimmed(q)] = _canonical(qc)
-        for e, c in d.terms.items():
+        for e, c in divisor.items():
             k = tuple(x + y for x, y in zip(q, _padded(e, width)))
             v = rem.get(k, 0) - qc * c
             if v:
@@ -131,7 +150,7 @@ def reference_ratfun(num, den=1) -> tuple:
     n, d = MultiPoly._coerce(num), MultiPoly._coerce(den)
     if n.is_zero():
         return MultiPoly.zero(), MultiPoly.const(1)
-    shared = tuple(map(min, zip(*n.terms, *d.terms)))
+    shared = tuple(map(min, zip(*tuple_terms(n), *tuple_terms(d))))
     if any(shared):
         mono = MultiPoly({_trimmed(shared): 1})
         n, d = n.divexact(mono), d.divexact(mono)

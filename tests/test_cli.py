@@ -178,7 +178,7 @@ CLI_MODULES = {"arborchar", "arborchar.errors", "arborchar.tangle", "arborchar.r
 
 # standard modules that cost a fresh process milliseconds to import and
 # that emit does not need
-SLOW_STDLIB = {"dataclasses", "inspect", "locale"}
+SLOW_STDLIB = {"argparse", "dataclasses", "inspect", "locale"}
 
 
 def _arborchar_modules(modules: set[str]) -> set[str]:

@@ -24,8 +24,10 @@ from ratfun_helpers import (
     reference_neg,
     reference_ratfun,
     reference_substitute,
+    reference_sum,
     reference_times,
     reference_truediv,
+    tuple_terms,
     written_terms,
 )
 
@@ -242,8 +244,9 @@ def _sparse(rng, names, terms, deg, fractions):
 def _assert_terms(p, ref):
     """p has the reference's terms, in its insertion order, with the same
     coefficient types."""
-    assert list(p.terms) == list(ref)
-    assert [(c, type(c)) for c in p.terms.values()] == [(c, type(c)) for c in ref.values()]
+    terms = tuple_terms(p)
+    assert list(terms) == list(ref)
+    assert [(c, type(c)) for c in terms.values()] == [(c, type(c)) for c in ref.values()]
 
 
 class TestPackedKernel:
@@ -294,8 +297,8 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("bound", [127, 128, 32767])
     def test_degree_limits(self, bound):
-        # field sizes are chosen from the operands' degree bound: one byte
-        # below 128, two below 32768
+        # every field is 16 bits with a guard bit, so total degrees up to
+        # 32767 pack; 127 and 128 straddle what one byte would hold
         t, x, y = _t(), _x(), MultiPoly.var("r1")
         a = x ** (bound // 2) + 2 * t
         b = y ** (bound - bound // 2) - 3 * x
@@ -319,6 +322,16 @@ class TestPackedKernel:
             a * b
         with pytest.raises(DomainError):
             (x ** 32768 + 1).divexact(x + 1)
+        # a degree of 32768 is refused wherever it would arise: by a
+        # one-term factor, by a power, from exponent tuples
+        assert (x ** 32767).total_degree() == 32767
+        for a, b in ((x ** 16384, t ** 16384), (x ** 32767, t), (x ** 32767 + 1, t + x)):
+            with pytest.raises(DomainError):
+                a * b
+        with pytest.raises(DomainError):
+            x ** 32768
+        with pytest.raises(DomainError):
+            MultiPoly({(16384, 16384): 1})
 
     def test_underflow_in_one_exponent_field(self):
         # the total degree fits, so only the guard bit of the one exponent
@@ -347,16 +360,79 @@ class TestPackedKernel:
                 assert p.leading() == want[0]
 
 
+class TestStoredPacking:
+    """Every polynomial keeps its monomials packed, each in as many fields
+    as its own last variable needs; results still agree with the tuple
+    reference whatever the operands' widths."""
+
+    def test_operands_of_different_widths(self):
+        rng = random.Random(45)
+        # built before sp_late is registered, so narrower than anything
+        # that uses it
+        early = _sparse(rng, ("t", "x"), 5, 3, False)
+        late = MultiPoly.var("sp_late")
+        half = MultiPoly.const(Fraction(1, 2))
+        assert early.width < late.width
+        for fractions in (False, True):
+            for _ in range(15):
+                wide = _sparse(rng, ("t", "sp_late"), rng.randint(1, 5), 3, fractions) + late
+                for a, b in ((early, wide), (wide, early), (early, late), (late, early), (half, wide)):
+                    _assert_terms(a * b, reference_mul(a, b))
+                    _assert_terms(a + b, reference_sum(a, b))
+                    _assert_terms(b - a, reference_sum(b, -a))
+                    _assert_terms((a * b).divexact(b), reference_divexact(a * b, b))
+                    if not a.is_const():  # a constant divides term by term
+                        _assert_terms((a * b).divexact(a), reference_divexact(a * b, a))
+                    got, want = (a * b + 1).divexact(b), reference_divexact(a * b + 1, b)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        _assert_terms(got, want)
+        # a narrower dividend is never divisible by a wider divisor
+        assert early.divexact(late) is None
+        assert reference_divexact(early, late) is None
+
+    def test_products_of_degree_128_and_more(self):
+        rng = random.Random(46)
+        t, x, y = _t(), _x(), MultiPoly.var("r1")
+        for degree in (128, 200, 1000):
+            a = x ** (degree - 60) + 2 * t * y + _sparse(rng, ("t", "x", "r1"), 4, 5, True)
+            b = y ** 60 - 3 * x + _sparse(rng, ("t", "r1"), 3, 5, False)
+            assert a.total_degree() + b.total_degree() >= 128
+            _assert_terms(a * b, reference_mul(a, b))
+            _assert_terms((a * b).divexact(b), reference_divexact(a * b, b))
+            assert (a * b).total_degree() == a.total_degree() + b.total_degree()
+
+    def test_equal_polynomials_by_different_routes(self):
+        rng = random.Random(48)
+        y = MultiPoly.var("sp_route")
+        for _ in range(20):
+            p = _sparse(rng, ("t", "x", "r1"), rng.randint(1, 6), 3, True)
+            q = _sparse(rng, ("t", "r1", "r2"), rng.randint(2, 4), 3, False) + y
+            routes = [
+                (p * q).divexact(q),
+                (p + q) - q,
+                (p * y).divexact(y),
+                (p + y).relabel({"sp_route": "t"}) - _t(),
+                sum((c * _x() ** k for k, c in p.coeffs_in("x").items()), MultiPoly.zero()),
+                MultiPoly.from_json(p.to_json()),
+                MultiPoly(tuple_terms(p)),
+            ]
+            for r in routes:
+                assert r == p and hash(r) == hash(p)
+                assert r.width == p.width and r.terms == p.terms
+
+
 def _as_fractions(p):
     """p with every coefficient a Fraction, integral ones included."""
     q = MultiPoly.__new__(MultiPoly)
-    q.terms = {e: Fraction(c) for e, c in p.terms.items()}
+    q.terms = {k: Fraction(c) for k, c in p.terms.items()}
+    q.width = p.width
     return q
 
 
 def _typed_terms(p):
     """p's terms in insertion order, each with its coefficient's type."""
-    return [(e, c, type(c)) for e, c in p.terms.items()]
+    return [(e, c, type(c)) for e, c in p.exponent_terms()]
 
 
 def _assert_canonical(*polys):
