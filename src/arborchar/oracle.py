@@ -8,10 +8,7 @@ Two independent pillars:
 * direct samplers for the h/k matrix families.
 
 Each suite draws per-sample RNG streams keyed by (suite, seed, index), so
-runs are reproducible and order-independent.
-
-numpy is imported inside the functions that call it, not at module level,
-so loading this module does not load numpy.  The suite names are
+runs are reproducible and order-independent.  The suite names are
 `arborchar.SUITE_NAMES`, in the order of `_SUITES`.
 """
 
@@ -19,9 +16,12 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter, mul
 
 from . import RESIDUAL_TOL, SUITE_NAMES
 from .errors import ConditioningError, DomainError
@@ -30,7 +30,7 @@ from .mat2 import (
     IDENTITY,
     Mat2,
     cayley_power,
-    chebyshev,
+    chebyshev,  # noqa: F401  (unused here; perfbench/spans.py wraps oracle.chebyshev)
     closed_trace,
     decompose_pair,
     delta_two_trace,
@@ -241,11 +241,33 @@ def twist_rep(atom: TangleExpr, x: Mat2, y: Mat2, t: complex) -> TangleRep:
     return TangleRep(x.inv(), y.inv(), a, b, t, (r,))
 
 
-def _solve_conjugator(pairs: list[tuple[Mat2, Mat2]]) -> Mat2:
-    """c with c@x@c^{-1} = target for every (x, target), via the least
-    singular vector of the linearized system."""
-    import numpy as np
+def _null_vector(rows: list[list[complex]]) -> list[complex]:
+    """Unit v with rows @ v = 0 for rank-3 rows in 4 unknowns, by elimination
+    with complete pivoting (reorders ``rows`` in place).  A pivot below 1e-6
+    of the first (or of 1) means a rank below 3: ConditioningError."""
+    cols = [0, 1, 2, 3]
+    for s in range(3):
+        i, j = max(itertools.product(range(s, len(rows)), range(s, 4)),
+                   key=lambda ij: abs(rows[ij[0]][ij[1]]))
+        rows[s], rows[i], cols[s], cols[j] = rows[i], rows[s], cols[j], cols[s]
+        for row in rows:
+            row[s], row[j] = row[j], row[s]
+        if abs(rows[s][s]) < 1e-6 * max(1.0, abs(rows[0][0])):
+            raise ConditioningError("conjugator not unique (nearly reducible pair)")
+        for row in rows[s + 1:]:
+            f = row[s] / rows[s][s]
+            for c in range(s + 1, 4):
+                row[c] -= f * rows[s][c]
+    x = [0j, 0j, 0j, 1 + 0j]
+    for s in (2, 1, 0):
+        x[s] = -sum(rows[s][c] * x[c] for c in range(s + 1, 4)) / rows[s][s]
+    norm = math.sqrt(math.fsum(abs(z) ** 2 for z in x))
+    return [x[cols.index(c)] / norm for c in range(4)]
 
+
+def _solve_conjugator(pairs: list[tuple[Mat2, Mat2]]) -> Mat2:
+    """c with c@x@c^{-1} = target for every (x, target), via the null
+    vector of the linearized system."""
     rows = []
     for x, tg in pairs:
         x11, x12, x21, x22 = (complex(v) for v in x.entries())
@@ -254,12 +276,7 @@ def _solve_conjugator(pairs: list[tuple[Mat2, Mat2]]) -> Mat2:
         rows.append([x12, x22 - t11, 0, -t12])
         rows.append([-t21, 0, x11 - t22, x21])
         rows.append([0, -t21, x12, x22 - t22])
-    A = np.array(rows, dtype=complex)
-    _, svals, vh = np.linalg.svd(A)
-    if svals[-2] < 1e-6 * max(1.0, svals[0]):
-        raise ConditioningError("conjugator not unique (nearly reducible pair)")
-    v = vh[-1].conj()
-    c = Mat2(v[0], v[1], v[2], v[3])
+    c = Mat2(*_null_vector(rows))
     det = complex(c.det())
     if abs(det) < 1e-8:
         raise ConditioningError("degenerate conjugator candidate")
@@ -292,30 +309,58 @@ def _glue(direction: str, r1: TangleRep, r2: TangleRep, t: complex) -> TangleRep
     return out
 
 
-def _alpha_num(k: int, t: complex, r: complex) -> complex:
-    th = complex(chebyshev(k, -r).theta)
-    return (2 * t * t + (r + 2 - t * t) * th) / (r + 2)
+def _alpha_coeffs(k: int, t: complex) -> list[complex]:
+    """Coefficients of alpha_k(r), highest first, built exactly: the integer
+    polynomial p(r) = theta_k(-r) has p(-2) = 2, and alpha_k =
+    (2t^2 + (r+2-t^2) p) / (r+2) = p + t^2 (2-p) / (r+2)."""
+    prev, p = [2], [0, -1]  # theta_0(-r), theta_1(-r), lowest degree first
+    for _ in range(abs(k) - 1):
+        prev, p = p, [-a - b for a, b in itertools.zip_longest([0] + p, prev, fillvalue=0)]
+    p.reverse()
+    q = [0]  # (2 - p) / (r + 2) by synthetic division, aligned with p
+    for a in p[:-1]:
+        q.append(-a - 2 * q[-1])
+    return [a + t * t * b for a, b in zip(p, q)]
 
 
-@functools.lru_cache(maxsize=64)
-def _alpha_coeffs(k: int, t: complex) -> tuple[complex, ...]:
-    """Coefficients of the degree-|k| polynomial alpha_k(r), highest first,
-    by interpolation."""
-    import numpy as np
-
-    deg = abs(k)
-    nodes = [1.37 * cmath.exp(2j * cmath.pi * j / (deg + 1)) + 0.11 for j in range(deg + 1)]
-    vals = [_alpha_num(k, t, z) for z in nodes]
-    return tuple(np.polyfit(np.array(nodes), np.array(vals), deg))
+#: most Aberth sweeps one root solve takes
+_ABERTH_STEPS = 100
 
 
 def _alpha_preimages(k: int, t: complex, v: complex) -> list[complex]:
-    """All r with alpha_k(r) = v, by a companion-matrix root solve."""
-    import numpy as np
+    """All r with alpha_k(r) = v, in descending modulus, by Aberth's iteration
+    (Bini, Numer. Algorithms 1996) from a circle around the roots.  A root
+    stops once its residual is at the rounding level of its terms, then
+    takes one Newton step; ConditioningError if one has not stopped after
+    _ABERTH_STEPS sweeps."""
+    c = _alpha_coeffs(k, t)
+    c[-1] -= v
+    c = [a / c[0] for a in c]
+    n = len(c) - 1
 
-    coeffs = np.array(_alpha_coeffs(k, t))
-    coeffs[-1] -= v
-    return [complex(z) for z in np.roots(coeffs)]
+    def horner(z: complex) -> tuple[complex, complex, float]:
+        p, d, s, az = 1 + 0j, 0j, 1.0, abs(z)  # p(z), p'(z) and the sum of |terms|
+        for a in c[1:]:
+            p, d, s = p * z + a, d * z + p, s * az + abs(a)
+        return p, d, s
+
+    radius = max(abs(a) ** (1 / i) for i, a in enumerate(c) if i)
+    zs = [radius * cmath.exp(1j * (2 * cmath.pi * i / n + 0.4)) for i in range(n)]
+    active = set(range(n))
+    for _ in range(_ABERTH_STEPS):
+        if not active:
+            break
+        for i in list(active):
+            z = zs[i]
+            p, d, s = horner(z)
+            if abs(p) <= 4 * n * 2.0**-52 * s:
+                active.discard(i)
+            elif den := d - p * sum(1 / (z - w) for j, w in enumerate(zs) if j != i):
+                zs[i] = z - p / den
+    if active:
+        raise ConditioningError("alpha root iteration did not converge")
+    zs = [z - p / d if d else z for z, (p, d, _) in zip(zs, map(horner, zs))]
+    return sorted(zs, key=abs, reverse=True)
 
 
 def _generic_param(rng: random.Random, t: complex) -> complex:
@@ -525,52 +570,65 @@ def _cubic_family(a: complex, b: complex):
 class _NumericPoly:
     """A polynomial compiled once for numeric evaluation.
 
-    Row j of ``exps`` holds every term's exponent of the variable
-    ``names[j]``; ``coeffs`` holds the coefficients as complex numbers and
-    ``scale`` the largest coefficient modulus, at least 1.  Calling it at a
-    point (a map from variable name to value) gives the polynomial's value
-    there.
+    ``names`` holds its variables and ``scale`` the largest coefficient
+    modulus, at least 1.  Calling it at a point (a map from variable name
+    to value) gives the polynomial's value there.
 
-    At points of the pretzel link's variety the terms of its large
-    equation are up to about 10^6 times its coefficient scale and cancel,
-    so rounding sets the residual.  Powers are built by repeated
-    multiplication and the terms summed pairwise, which keeps it at the
-    level of MultiPoly.eval; ``complex ** array`` powers or a BLAS dot
-    product raise it several-fold.
+    The variables are split into two halves, and each term into its parts
+    over them, the coefficient going with the second.  The polynomial is
+    the sum, over first parts f, of f times the sum of the second parts
+    that go with f.  A call builds each half's distinct parts from
+    per-variable power tables in C-level ``map`` calls, and adds both
+    levels of sums with ``math.fsum``, which rounds each sum once.  At
+    points of the pretzel link's variety the terms of its large equation
+    are up to about 10^6 times its coefficient scale and cancel, so these
+    exact sums leave only the rounding of the parts in the residual.
     """
 
     def __init__(self, poly) -> None:
-        import numpy as np
-
         # two passes over the terms, so that no per-term copy is kept
         cols: dict[str, int] = {}
-        count = 0
         for powers, _ in poly.named_terms():
-            count += 1
             for name in powers:
                 cols.setdefault(name, len(cols))
         self.names = tuple(cols)
-        # 16-bit exponents keep the pretzel equation's matrix at 63 kB
-        self.exps = np.zeros((len(cols), count), dtype=np.uint16)
-        self.coeffs = np.zeros(count, dtype=complex)
-        self.scale = 1.0
-        for i, (powers, coef) in enumerate(poly.named_terms()):
-            for name, p in powers.items():
-                self.exps[cols[name], i] = p
-            self.coeffs[i] = c = complex(coef)
-            self.scale = max(self.scale, abs(c))
+        first, second = self.names[: len(cols) // 2], self.names[len(cols) // 2:]
+        # each first part -> the positions of its terms' second parts, and
+        # each second part, as (exponents, coefficient) -> its position
+        runs: dict[tuple, list[int]] = {}
+        seconds: dict[tuple, int] = {}
+        for powers, coef in poly.named_terms():
+            key = (tuple([powers.get(name, 0) for name in second]), coef)
+            run = runs.setdefault(tuple([powers.get(name, 0) for name in first]), [])
+            run.append(seconds.setdefault(key, len(seconds)))
+        # one getter per first part, for its second parts and a final 0.0,
+        # which keeps the result a tuple for a single second part
+        self._gets = [itemgetter(*run, len(seconds)) for run in runs.values()]
+        # per half: the start values, and (name, top power, column) per variable
+        self._groups = [
+            (starts, [(name, max(col), col) for name, col in zip(names, zip(*exps))])
+            for names, starts, exps in (
+                (first, [1 + 0j] * len(runs), runs),
+                (second, [complex(c) for _, c in seconds], [e for e, _ in seconds]),
+            )
+        ]
+        self.scale = max([1.0, *map(abs, self._groups[1][0])])
 
     def __call__(self, point) -> complex:
-        import numpy as np
-
-        monomials = np.ones(len(self.coeffs), dtype=complex)
-        for name, exps in zip(self.names, self.exps):
-            v = complex(point[name])
-            powers = [1 + 0j]
-            for _ in range(exps.max()):
-                powers.append(powers[-1] * v)
-            monomials *= np.array(powers)[exps]
-        return complex((self.coeffs * monomials).sum())
+        parts = []
+        for values, columns in self._groups:
+            for name, top, col in columns:
+                v = complex(point[name])
+                powers = list(itertools.accumulate(itertools.repeat(v, top), mul, initial=1 + 0j))
+                values = list(map(mul, values, map(powers.__getitem__, col)))
+            parts.append(values)
+        left, right = parts
+        reals = [*map(attrgetter("real"), right), 0.0]
+        imags = [*map(attrgetter("imag"), right), 0.0]
+        sums = [complex(math.fsum(get(reals)), math.fsum(get(imags))) for get in self._gets]
+        terms = list(map(mul, left, sums))
+        return complex(math.fsum(map(attrgetter("real"), terms)),
+                       math.fsum(map(attrgetter("imag"), terms)))
 
 
 def _f_num(t, a, b1, c1, b2, c2):
@@ -860,8 +918,6 @@ _PRESENTATION_CORPUS = (
 def _closure_rep(c: ClosureExpr, rng: random.Random):
     """Newton search (over t and the shared coordinate) for a representation
     of the closed-up diagram, using the trace form of the closure condition."""
-    import numpy as np
-
     body = c.body
     if isinstance(body, Rational):
         body = expand_rational(body.ks)
@@ -875,27 +931,32 @@ def _closure_rep(c: ClosureExpr, rng: random.Random):
         right = _build(body.right, t, sr, shared, s, knobs)
         return left, right
 
-    def F(t: complex, s: complex) -> np.ndarray:
+    def F(t: complex, s: complex) -> tuple[complex, complex]:
         l, r = factors(t, s)
         if direction == "v":
-            return np.array([l.udot() - r.udot(), l.ucheck() + r.ucheck()])
-        return np.array([l.u() - r.u(), l.ucheck() + r.ucheck()])
+            return l.udot() - r.udot(), l.ucheck() + r.ucheck()
+        return l.u() - r.u(), l.ucheck() + r.ucheck()
 
     t = sample_t(rng)
     s = _generic_param(rng, t)
     for _ in range(40):
-        f0 = F(t, s)
-        if max(abs(f0[0]), abs(f0[1])) < 1e-10:
+        f1, f2 = F(t, s)
+        if max(abs(f1), abs(f2)) < 1e-10:
             l, r = factors(t, s)
             return _glue(direction, l, r, t), t
         eps = 1e-6
-        J = np.empty((2, 2), dtype=complex)
-        J[:, 0] = (F(t + eps, s) - f0) / eps
-        J[:, 1] = (F(t, s + eps) - f0) / eps
-        step, *_ = np.linalg.lstsq(J, -f0, rcond=None)
-        if max(abs(step[0]), abs(step[1])) > 2.0:
-            step = step / max(abs(step[0]), abs(step[1])) * 2.0
-        t, s = t + complex(step[0]), s + complex(step[1])
+        # the forward-difference Jacobian [[a, b], [c, d]], and Cramer's rule
+        # for the Newton step (dt, ds) that solves J step = -f
+        (g1, g2), (h1, h2) = F(t + eps, s), F(t, s + eps)
+        a, b, c, d = (g1 - f1) / eps, (h1 - f1) / eps, (g2 - f2) / eps, (h2 - f2) / eps
+        det = a * d - b * c
+        if not det:
+            raise ConditioningError("closure Newton search hit a singular Jacobian")
+        dt, ds = (b * f2 - d * f1) / det, (c * f1 - a * f2) / det
+        big = max(abs(dt), abs(ds))
+        if big > 2.0:
+            dt, ds = dt / big * 2.0, ds / big * 2.0
+        t, s = t + dt, s + ds
     raise ConditioningError("closure Newton search did not converge")
 
 

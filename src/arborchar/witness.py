@@ -9,8 +9,7 @@ the t13-parameterized family whose members are pairwise non-conjugate.
 The Gram algebra is in closed form: determinants by cofactor expansion,
 and the 4x4 conditions through the bordered-determinant identity
 det [[S, s], [s^T, s44]] = s44 det S - s^T adj(S) s, which is quadratic in
-s24 and gives the completing coefficients adj(S) s / det S.  The module
-uses no numpy.
+s24 and gives the completing coefficients adj(S) s / det S.
 """
 
 from __future__ import annotations

@@ -141,8 +141,8 @@ def _bench_witness_args() -> list[str]:
 
 class TestEmitWithoutNumpy:
     """emit is exact arithmetic and witness closed-form algebra: loading
-    the CLI and running either never loads numpy, which only the oracle's
-    functions use."""
+    the CLI and running either never loads numpy, which no package module
+    uses (test_oracle.TestStdlibOnly checks the oracle)."""
 
     @pytest.mark.parametrize("module", [oracle, witness], ids=["oracle", "witness"])
     def test_no_module_level_numpy_import(self, module):

@@ -123,7 +123,7 @@ class TestMat2Semantics:
             entries = [_rnd(rng) for _ in range(4)]
             want = max(abs(complex(x)) for x in entries)
             assert Mat2(*entries).norm() == want
-            # numpy scalars, as a solved conjugator has, take the generic path
+            # numpy scalars take the generic path
             assert Mat2(*map(np.complex128, entries)).norm() == want
 
     @pytest.mark.parametrize(
