@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -226,13 +227,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     ok = True
     for name in names:
+        start = time.perf_counter()
         rep = run_suite(name, samples=args.samples, seed=args.seed, tol=args.tol)
+        elapsed = time.perf_counter() - start
         reports.append(rep)
         ok = ok and rep.passed
         status = "pass" if rep.passed else "FAIL"
         print(
             f"{name}: {status} samples={rep.samples} "
-            f"max_residual={rep.max_residual:.3e} rejected={rep.rejected}"
+            f"max_residual={rep.max_residual:.3e} rejected={rep.rejected} "
+            f"time={elapsed:.3f}s"
         )
     if args.out is not None:
         payload = {

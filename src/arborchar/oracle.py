@@ -8,7 +8,9 @@ Two independent pillars:
 * direct samplers for the h/k matrix families.
 
 Each suite draws per-sample RNG streams keyed by (suite, seed, index), so
-runs are reproducible and order-independent.  The suite names are
+runs are reproducible and order-independent, and `run_suite` spreads a
+suite's samples over forked processes, one per usable CPU, with the report
+of a serial run.  The suite names are
 `arborchar.SUITE_NAMES`, in the order of `_SUITES`.
 """
 
@@ -17,8 +19,12 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import marshal
 import math
+import os
 import random
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, mul
@@ -1134,27 +1140,121 @@ def default_samples(name: str, requested: int | None = None) -> int:
 def run_suite(
     name: str, samples: int | None = None, seed: int = 0, tol: float = RESIDUAL_TOL
 ) -> SuiteReport:
-    """Run one verification suite; deterministic for a given seed."""
+    """Run one verification suite; deterministic for a given seed.
+
+    The samples are spread over up to `_share_count` processes; the report
+    is the same for every count."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
-    fn = _SUITES[name]
     n = default_samples(name, samples)
+    return _run_shares(name, n, seed, tol, _share_count(n))
+
+
+# the most processes one suite's samples are spread over
+_MAX_SHARES = 8
+_ATTEMPTS = 12
+
+
+def _share_count(samples: int) -> int:
+    """Processes for `samples` samples: one per usable CPU, or just this one
+    where fork is missing or unsafe (another thread is running)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(samples, cpus, _MAX_SHARES))
+
+
+def _sample(fn, name: str, seed: int, i: int) -> tuple:
+    """Sample `i`: `(i, residual or None, rejection reasons in attempt order)`.
+
+    Each attempt draws from its own stream keyed by (suite, seed, index,
+    attempt), so a sample's record does not depend on which process or in
+    which order it runs.  The last attempt's error ends the sample and is
+    not a rejection."""
+    reasons = []
+    for attempt in range(_ATTEMPTS):
+        try:
+            return i, fn(random.Random(f"{name}:{seed}:{i}:{attempt}")), reasons
+        except ConditioningError as exc:
+            if attempt < _ATTEMPTS - 1:
+                reasons.append(str(exc))
+    return i, None, reasons
+
+
+def _fork_share(fn, name: str, seed: int, indices: range):
+    """Run the samples `indices` in a forked child, which writes their
+    records to a pipe with `marshal`; return its pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(marshal.dumps([_sample(fn, name, seed, i) for i in indices]))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _records(name: str, seed: int, n: int, k: int) -> list:
+    """Every sample's record, in sample order, with sample i run in share i % k.
+
+    Share 0 runs in this process and each other share in a forked child.
+    If a sample raises here or a child fails, the children are stopped and
+    reaped and every sample runs here, so the error raised is the one a
+    serial run raises."""
+    fn = _SUITES[name]
+    indices = range(n)
+    children = []  # (pid, read end of its pipe)
+    blobs = []
+    records = None
+    try:
+        for j in range(1, k):
+            children.append(_fork_share(fn, name, seed, indices[j::k]))
+        records = [_sample(fn, name, seed, i) for i in indices[::k]]
+        for _, src in children:
+            blobs.append(src.read())
+    except Exception:  # a sample raised, or fork or a pipe failed
+        records = None
+    finally:
+        unread = len(blobs) < len(children)  # a child may still be running
+        for pid, src in children:
+            src.close()
+            if unread:
+                os.kill(pid, signal.SIGKILL)
+            if os.waitpid(pid, 0)[1] != 0:
+                records = None
+    if records is None:
+        return [_sample(fn, name, seed, i) for i in indices]
+    for blob in blobs:
+        records += marshal.loads(blob)
+    records.sort(key=itemgetter(0))
+    return records
+
+
+def _run_shares(name: str, n: int, seed: int, tol: float, k: int) -> SuiteReport:
+    """The report of `n` samples run in `k` shares; the same for every k."""
     report = SuiteReport(name, n, seed, tol)
-    for i in range(n):
-        residual = None
-        for attempt in range(12):
-            rng = random.Random(f"{name}:{seed}:{i}:{attempt}")
-            try:
-                residual = fn(rng)
-                break
-            except ConditioningError as exc:
-                if attempt < 11:  # another attempt follows: a rejection
-                    report.rejected += 1
-                    report.rejected_by_reason[str(exc)] += 1
+    for i, residual, reasons in _records(name, seed, n, k):
+        report.rejected += len(reasons)
+        report.rejected_by_reason.update(reasons)
         if residual is None:
             report.failures.append({"sample": i, "error": "kept degenerating"})
             continue
-        report.max_residual = max(report.max_residual, residual)
-        if residual > tol:
+        # a NaN residual fails its sample and makes the maximum NaN
+        if residual > report.max_residual or residual != residual:
+            report.max_residual = residual
+        if not residual <= tol:
             report.failures.append({"sample": i, "residual": residual})
     return report

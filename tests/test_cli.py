@@ -10,6 +10,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -349,6 +350,18 @@ class TestVerify:
         payload = json.loads(text)
         assert payload["reports"][0]["suite"] == "key"
         assert payload["reports"][0]["passed"] is True
+
+    def test_seed0_report_is_the_golden_file(self, tmp_path, capsys):
+        # byte for byte, so key order and the merge order of each suite's
+        # rejected_by_reason are pinned too; the suite times printed on
+        # stdout stay out of the file
+        dest = tmp_path / "report.json"
+        assert _run(["verify", "--suite", "all", "--seed", "0", "--out", str(dest)]) == EXIT_OK
+        golden = Path(__file__).parent / "golden" / "verify-seed0.json"
+        assert dest.read_bytes() == golden.read_bytes()
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(arborchar.SUITE_NAMES)
+        assert all(re.search(r" time=\d+\.\d{3}s$", line) for line in lines), lines
 
     def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
         dest = tmp_path / "missing" / "v.json"

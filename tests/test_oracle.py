@@ -9,8 +9,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import arborchar.oracle as oracle
+from arborchar import RESIDUAL_TOL
 from arborchar.errors import ConditioningError, DomainError
 from arborchar.invariants import alpha, base_invariants, closure_equations
 from arborchar.links import pretzel3333_presentation
@@ -52,6 +55,15 @@ from arborchar.tangle import IntTwist, VertTwist, parse
 
 
 _GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify-seed0.json"
+
+
+def _draw_keys(name, seed, samples):
+    """{first draw of an attempt's stream: (sample, attempt)} for a suite."""
+    return {
+        random.Random(f"{name}:{seed}:{i}:{a}").random(): (i, a)
+        for i in range(samples)
+        for a in range(oracle._ATTEMPTS)
+    }
 
 
 def _pair(t, r, seed=0):
@@ -224,16 +236,19 @@ class TestSuites:
 
     def test_rejections_counted_by_reason(self, monkeypatch):
         # sample 0 is rejected twice, then passes; sample 1 never passes,
-        # so its last error ends the sample instead of being a rejection
+        # so its last error ends the sample instead of being a rejection.
+        # The fake reads (sample, attempt) from its draw, not from a counter,
+        # so it answers the same in whichever process a sample runs.
+        draws = _draw_keys("fake", 0, 2)
+
         def suite(rng):
-            attempt = suite.attempts = suite.attempts + 1
-            if attempt <= 2:
-                raise ConditioningError("first" if attempt == 1 else "second")
-            if attempt == 3:
+            sample, attempt = draws[rng.random()]
+            if (sample, attempt) == (0, 0):
+                raise ConditioningError("first")
+            if (sample, attempt) == (0, 2):
                 return 0.0
             raise ConditioningError("second")
 
-        suite.attempts = 0
         monkeypatch.setitem(oracle._SUITES, "fake", suite)
         rep = run_suite("fake", samples=2)
         assert rep.rejected == 2 + 11
@@ -300,6 +315,136 @@ class TestSuites:
         assert rep.passed, rep.failures
         assert rep.rejected == 72
         assert rep.rejected_by_reason == {"no pretzel variety point found": 72}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _report_text(rep):
+    return json.dumps(rep.to_json())  # keeps key order, floats exactly
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestShares:
+    """A suite's samples split into shares, sample i in share i % k: share 0
+    runs in the calling process, the others in forked children.  These call
+    the share runner with k set, so they fork on a 1-CPU machine too."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_report_same_for_every_share_count(self, name, seed):
+        n = {"presentation": 8, "pretzel": 12}.get(name, 20)
+        want = _report_text(oracle._run_shares(name, n, seed, RESIDUAL_TOL, 1))
+        for k in (2, 3):
+            got = _report_text(oracle._run_shares(name, n, seed, RESIDUAL_TOL, k))
+            assert got == want, k
+            _no_child_left()
+
+    def test_reasons_merge_in_sample_order(self, monkeypatch):
+        # sample 1 is rejected for "x" and sample 2 for "y": "x" is counted
+        # first, although sample 2 runs in this process and sample 1 does not
+        draws = _draw_keys("fake", 0, 3)
+
+        def suite(rng):
+            sample, attempt = draws[rng.random()]
+            if attempt == 0 and sample:
+                raise ConditioningError("xy"[sample - 1])
+            return 0.0
+
+        monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        for k in (1, 2, 3):
+            rep = oracle._run_shares("fake", 3, 0, RESIDUAL_TOL, k)
+            assert list(rep.to_json()["rejected_by_reason"].items()) == [("x", 1), ("y", 1)]
+            _no_child_left()
+
+    def test_sample_error_raises_as_a_serial_run(self, monkeypatch):
+        # samples 3 and 4 raise; a serial run meets sample 3 first, while with
+        # two shares this process meets sample 4 and a child sample 3
+        draws = _draw_keys("fake", 0, 6)
+
+        def suite(rng):
+            sample, _ = draws[rng.random()]
+            if sample in (3, 4):
+                raise ValueError(f"sample {sample}")
+            return 0.0
+
+        monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError, match="^sample 3$"):
+                oracle._run_shares("fake", 6, 0, RESIDUAL_TOL, k)
+            _no_child_left()
+
+    def test_error_here_stops_the_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def suite(rng):
+            if os.getpid() != parent:
+                time.sleep(30)
+            raise ValueError("sample 0")
+
+        monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="^sample 0$"):
+            oracle._run_shares("fake", 4, 0, RESIDUAL_TOL, 3)
+        assert time.monotonic() - start < 10
+        _no_child_left()
+
+    @pytest.mark.parametrize("how", ["raise", "kill"])
+    def test_failed_child_is_run_again_here(self, monkeypatch, how):
+        parent = os.getpid()
+        draws = _draw_keys("fake", 0, 7)
+
+        def suite(rng):
+            sample, attempt = draws[rng.random()]
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("only in a child")
+            if attempt == 0 and sample % 2:
+                raise ConditioningError(f"odd {sample}")
+            return sample * 1e-12
+
+        monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        want = _report_text(oracle._run_shares("fake", 7, 0, RESIDUAL_TOL, 1))
+        for k in (2, 3):
+            assert _report_text(oracle._run_shares("fake", 7, 0, RESIDUAL_TOL, k)) == want
+            _no_child_left()
+
+    def test_nan_residual_fails_its_sample(self, monkeypatch):
+        draws = _draw_keys("fake", 0, 4)
+
+        def suite(rng):
+            sample, _ = draws[rng.random()]
+            return float("nan") if sample == 1 else 1e-12
+
+        monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        for k in (1, 2):
+            rep = oracle._run_shares("fake", 4, 0, RESIDUAL_TOL, k)
+            assert not rep.passed
+            assert [f["sample"] for f in rep.failures] == [1]
+            assert math.isnan(rep.failures[0]["residual"])
+            assert math.isnan(rep.max_residual)  # not hidden by later samples
+
+    def test_share_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert oracle._share_count(3) == 3
+        assert oracle._share_count(500) == oracle._MAX_SHARES
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait, args=(10,))
+        worker.start()
+        try:
+            assert oracle._share_count(500) == 1  # fork is unsafe with threads
+        finally:
+            stop.set()
+            worker.join(10)
+        assert not worker.is_alive()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert oracle._share_count(500) == 2
+        monkeypatch.delattr(os, "fork")
+        assert oracle._share_count(500) == 1
 
 
 def _cubic_roots(a, b, c):
