@@ -310,11 +310,29 @@ class TestSuites:
         assert len(calls) == len(set(calls)) == 16
 
     def test_pretzel_rejections_pinned(self):
-        # every rejection comes from the closed-form cubic and the secant
+        # every rejection comes from the lam search along the tracked roots
         rep = run_suite("pretzel", seed=0)
         assert rep.passed, rep.failures
-        assert rep.rejected == 72
-        assert rep.rejected_by_reason == {"no pretzel variety point found": 72}
+        assert rep.rejected == 39
+        assert rep.rejected_by_reason == {"no pretzel variety point found": 39}
+
+    def test_worst_keeps_a_nan_in_any_position(self):
+        assert oracle._worst(0.0, 2.0, 1.0) == 2.0
+        for parts in ((math.nan, 1.0, 2.0), (0.0, math.nan, 2.0), (0.0, 1.0, math.nan)):
+            assert math.isnan(oracle._worst(*parts))
+
+    def test_nan_part_after_the_first_fails_its_sample(self, monkeypatch):
+        # compose's u-check formula is the last part of its residual, where
+        # max() would drop a NaN
+        monkeypatch.setattr(oracle, "_g_num", lambda *args: complex("nan"))
+        rep = run_suite("compose", samples=2)
+        assert [f["sample"] for f in rep.failures] == [0, 1]
+        assert all(math.isnan(f["residual"]) for f in rep.failures)
+
+    def test_secant_tolerance_is_a_constant(self):
+        # one value in use: the closure search's node builds
+        assert list(inspect.signature(_secant).parameters) == ["fn", "s0", "s1"]
+        assert oracle._SECANT_TOL == 1e-11
 
 
 def _no_child_left():
@@ -505,6 +523,86 @@ class TestCubicRoots:
     def test_triple_root(self):
         assert _cubic_roots(0j, 0j, 0j) == [0j, 0j, 0j]
         self._check(0j, 0j, 0j)
+
+
+def _pretzel_cubic(t1, t2, lam):
+    """(a, b, c) of the pretzel suite's cubic x^3 + a x^2 + b x + c at lam,
+    with c = a + tau rounded as the suite rounds it."""
+    a = -t1 * t2
+    return a, t1 * t1 + t2 * t2 - 3, a + (lam + 1 / lam)
+
+
+class TestPretzelSearch:
+    def test_lam_plus_minus_one_solves_every_branch(self):
+        # there N(r) no longer depends on r and equals -lam delta, so every
+        # rho is -lam and prod rho = 1 whichever roots are picked: the
+        # reason a search that drifts to lam = +-1 is abandoned
+        rng = random.Random(3)
+        for _ in range(20):
+            t1, t2 = sample_t(rng), sample_t(rng)
+            for lam in (1 + 0j, -1 + 0j):
+                a, b, c = _pretzel_cubic(t1, t2, lam)
+                roots = _cubic_family(a, b)(c)
+                dl = complex(oracle.delta_two_trace(t1, t2, lam))
+                rhos = [oracle._rho_numerator(t1, t2, lam, r)[0] / dl for r in roots]
+                assert max(abs(rho + lam) for rho in rhos) < 1e-12
+                for picks in itertools.product(range(3), repeat=4):
+                    assert abs(math.prod(rhos[p] for p in picks) - 1) < 1e-12
+
+    def test_accepted_points_solve_the_cubic(self, monkeypatch):
+        found = []
+        real = oracle._pretzel_point
+
+        def recording(t1, t2, picks, rng):
+            lam, rs = real(t1, t2, picks, rng)
+            found.append((t1, t2, lam, rs))
+            return lam, rs
+
+        monkeypatch.setattr(oracle, "_pretzel_point", recording)
+        rep = oracle._run_shares("pretzel", 60, 0, RESIDUAL_TOL, 1)
+        assert rep.passed and len(found) == 60
+        for t1, t2, lam, rs in found:
+            a, b, c = _pretzel_cubic(t1, t2, lam)
+            for r in rs:
+                terms = abs(r) ** 3 + abs(a * r * r) + abs(b * r) + abs(c)
+                assert abs(_cubic_value(r, a, b, c)) <= 12 * 2.0**-52 * terms
+            tau = lam + 1 / lam
+            assert abs(oracle.delta_two_trace(t1, t2, lam)) > 0.05
+            assert abs(tau * tau - 4) > 0.05
+
+    def test_shifted_root_is_a_counted_failure(self, monkeypatch):
+        # the realized matrices re-measure every root, so a root that is
+        # off by 1e-6 fails its sample; it is not rejected and redrawn
+        real = oracle._pretzel_point
+        want = run_suite("pretzel", samples=3)
+
+        def shifted(*args):
+            lam, rs = real(*args)
+            return lam, [rs[0] + 1e-6, *rs[1:]]
+
+        monkeypatch.setattr(oracle, "_pretzel_point", shifted)
+        rep = run_suite("pretzel", samples=3)
+        assert [f["sample"] for f in rep.failures] == [0, 1, 2]
+        assert all(1e-9 < f["residual"] < 1 for f in rep.failures)
+        assert rep.rejected == want.rejected
+
+    def test_polish_reaches_rounding_level(self):
+        a, b, c = _pretzel_cubic(1.1 + 0.3j, -0.7 + 0.9j, 0.8 - 0.4j)
+        for root in _cubic_family(a, b)(c):
+            r, d = oracle._polish_root(root + 1e-3, a, b, c)
+            terms = abs(r) ** 3 + abs(a * r * r) + abs(b * r) + abs(c)
+            assert abs(_cubic_value(r, a, b, c)) <= 12 * 2.0**-52 * terms
+            assert d == (3 * r + 2 * a) * r + b
+
+    def test_polish_rejects_a_zero_derivative(self):
+        # x^3 + 1 from r = 0, where its derivative vanishes
+        with pytest.raises(ConditioningError, match="zero of the derivative"):
+            oracle._polish_root(0j, 0j, 0j, 1 + 0j)
+
+    def test_polish_rejects_a_slow_root(self):
+        # Newton converges only linearly to the triple root of x^3
+        with pytest.raises(ConditioningError, match="did not converge"):
+            oracle._polish_root(1 + 0j, 0j, 0j, 0j)
 
 
 class TestNumericPoly:
