@@ -9,8 +9,8 @@ Two independent pillars:
 
 Each suite draws per-sample RNG streams keyed by (suite, seed, index), so
 runs are reproducible and order-independent, and `run_suite` spreads a
-suite's samples over forked processes, one per usable CPU, with the report
-of a serial run.  The suite names are
+suite's samples over forked processes, one per usable CPU, that pull them
+from one queue, with the report of a serial run.  The suite names are
 `arborchar.SUITE_NAMES`, in the order of `_SUITES`.
 """
 
@@ -89,12 +89,6 @@ def sample_t(rng: random.Random) -> complex:
             return t
 
 
-def _moderate(a: complex, b: complex, c: complex, d: complex) -> bool:
-    """Mat2(a, b, c, d).norm() <= 2.2, tested before the matrix is built; a
-    NaN entry fails its comparison here as it fails the norm's."""
-    return abs(a) <= 2.2 and abs(b) <= 2.2 and abs(c) <= 2.2 and abs(d) <= 2.2
-
-
 # draws sample_in_Gt makes before it gives up.  Every sampler keeps |t| <= 3,
 # where about one draw in 18 is accepted; at |t| = 3.5 it is one in 400.
 _GT_DRAWS = 20_000
@@ -108,15 +102,20 @@ def sample_in_Gt(t: complex, rng: random.Random) -> Mat2:
     rare from |t| of about 3.8 on, so after a fixed number of draws this
     raises ConditioningError instead of drawing forever.
     """
+    # a and b are _crand(rng) inlined, so |a|, |b| <= 1.5 * sqrt(2) < 2.2
+    # and only c and d can break Mat2(a, b, c, d).norm() <= 2.2; a NaN
+    # entry fails its comparison here as it fails the norm's
+    rand = rng.random
     for _ in range(_GT_DRAWS):
-        a = _crand(rng)
-        b = _crand(rng)
+        a = complex(-1.5 + 3.0 * rand(), -1.5 + 3.0 * rand())
+        b = complex(-1.5 + 3.0 * rand(), -1.5 + 3.0 * rand())
         if abs(b) < 1e-3:
             continue
-        c = (a * (t - a) - 1) / b
         d = t - a
-        if _moderate(a, b, c, d):
-            return Mat2(a, b, c, d)
+        if abs(d) <= 2.2:
+            c = (a * d - 1) / b
+            if abs(c) <= 2.2:
+                return Mat2(a, b, c, d)
     raise ConditioningError(
         f"no matrix with trace {complex(t):.4g} and entries of modulus <= 2.2 "
         f"in {_GT_DRAWS} draws"
@@ -125,17 +124,22 @@ def sample_in_Gt(t: complex, rng: random.Random) -> Mat2:
 
 def conditioned_pair(t: complex, r: complex, rng: random.Random) -> tuple[Mat2, Mat2]:
     """(x, y) in G(t) x G(t) with tr(xy) = r."""
+    rand = rng.random
     for _ in range(60):
         x = sample_in_Gt(t, rng)
-        a = _crand(rng)
-        # tr(xy) = r with y = [[a, b], [(a(t-a)-1)/b, t-a]]: quadratic in b
+        a = complex(-1.5 + 3.0 * rand(), -1.5 + 3.0 * rand())  # _crand(rng)
+        d = t - a
+        if not abs(d) <= 2.2:  # no moderate y has this a (nor a NaN d)
+            continue
+        # tr(xy) = r with y = [[a, b], [(ad-1)/b, d]]: quadratic in b
+        ad1 = a * d - 1
         qa = complex(x.a21)
-        qb = complex(x.a11) * a + complex(x.a22) * (t - a) - r
-        qc = complex(x.a12) * (a * (t - a) - 1)
+        qb = complex(x.a11) * a + complex(x.a22) * d - r
+        qc = complex(x.a12) * ad1
         for b in _quad_roots(qa, qb, qc):
-            if abs(b) >= 1e-3:
-                c, d = (a * (t - a) - 1) / b, t - a
-                if _moderate(a, b, c, d):
+            if 1e-3 <= abs(b) <= 2.2:
+                c = ad1 / b
+                if abs(c) <= 2.2:
                     return x, Mat2(a, b, c, d)
     raise ConditioningError("could not condition a pair on tr(xy) = r")
 
@@ -427,14 +431,15 @@ def build_tangle_rep(expr: TangleExpr, t: complex, rng: random.Random) -> Tangle
     if isinstance(expr, ClosureExpr):
         raise DomainError("build_tangle_rep expects an open tangle")
     t = complex(t)
-    last: Exception | None = None
+    reasons: Counter[str] = Counter()
     for _ in range(10):
         seed = rng.getrandbits(48)
         try:
             return _build(expr, t, seed, None, 0, {})
         except ConditioningError as exc:
-            last = exc
-    raise ConditioningError(f"tangle build kept degenerating: {last}")
+            reasons[str(exc)] += 1
+    named = "; ".join(f"{reason} (x{count})" for reason, count in reasons.items())
+    raise ConditioningError(f"tangle build kept degenerating: {named}")
 
 
 def _build(
@@ -1218,8 +1223,9 @@ def run_suite(
 ) -> SuiteReport:
     """Run one verification suite; deterministic for a given seed.
 
-    The samples are spread over up to `_share_count` processes; the report
-    is the same for every count."""
+    The samples are spread over up to `_share_count` processes, which pull
+    them from one queue until it is empty (see `_records`); with one usable
+    CPU all run in this process.  The report is the same for every count."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
     n = default_samples(name, samples)
@@ -1260,9 +1266,27 @@ def _sample(fn, name: str, seed: int, i: int) -> tuple:
     return i, None, reasons
 
 
-def _fork_share(fn, name: str, seed: int, indices: range):
-    """Run the samples `indices` in a forked child, which writes their
-    records to a pipe with `marshal`; return its pid and the pipe's read end."""
+def _pull(fn, name: str, seed: int, n: int, queue: int, size: int) -> list:
+    """Records of the samples this process takes from the queue `queue`,
+    one token at a time until the queue is empty.
+
+    A 4-byte token names the `size` samples that start at its number times
+    `size`.  The queue holds whole tokens and the kernel serves each pipe
+    read whole, so no two processes share a token; a short read raises, and
+    the caller then runs every sample itself."""
+    records = []
+    while token := os.read(queue, 4):
+        if len(token) != 4:
+            raise OSError("short read from the sample queue")
+        start = int.from_bytes(token, "little") * size
+        records += [_sample(fn, name, seed, i) for i in range(start, min(start + size, n))]
+    return records
+
+
+def _fork_share(fn, name: str, seed: int, n: int, queue: int, size: int):
+    """Fork a child that pulls samples from the queue `queue` until it is
+    empty and then writes their records to a pipe with `marshal`; return its
+    pid and the pipe's read end."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -1275,7 +1299,7 @@ def _fork_share(fn, name: str, seed: int, indices: range):
         try:
             os.close(r)
             with open(w, "wb") as out:
-                out.write(marshal.dumps([_sample(fn, name, seed, i) for i in indices]))
+                out.write(marshal.dumps(_pull(fn, name, seed, n, queue, size)))
             code = 0
         finally:
             os._exit(code)
@@ -1284,26 +1308,44 @@ def _fork_share(fn, name: str, seed: int, indices: range):
 
 
 def _records(name: str, seed: int, n: int, k: int) -> list:
-    """Every sample's record, in sample order, with sample i run in share i % k.
+    """Every sample's record, in sample order, run in k shares that pull
+    their samples from one queue.
 
-    Share 0 runs in this process and each other share in a forked child.
-    If a sample raises here or a child fails, the children are stopped and
-    reaped and every sample runs here, so the error raised is the one a
-    serial run raises."""
+    Before the first fork the sample numbers go into a pipe, one 4-byte
+    token each, and its write end is closed; share 0 in this process and
+    each other share in a forked child then take one token at a time until
+    the pipe is empty, so a share that meets slow samples takes fewer of
+    them and no process waits on another.  The tokens fit in 4 KiB, which a
+    pipe holds without blocking: past 1024 samples a token names a block of
+    ceil(n / 1024) consecutive ones.  If a sample raises here or a child
+    fails, the children are stopped and reaped and every sample runs here,
+    so the error raised is the one a serial run raises."""
     fn = _SUITES[name]
-    indices = range(n)
+    if k == 1:
+        return [_sample(fn, name, seed, i) for i in range(n)]
+    size = -(-n // 1024) or 1  # samples per token
+    tokens = memoryview(b"".join(j.to_bytes(4, "little") for j in range(-(-n // size))))
     children = []  # (pid, read end of its pipe)
     blobs = []
     records = None
+    queue = None
     try:
-        for j in range(1, k):
-            children.append(_fork_share(fn, name, seed, indices[j::k]))
-        records = [_sample(fn, name, seed, i) for i in indices[::k]]
+        queue, w = os.pipe()
+        try:
+            while tokens:
+                tokens = tokens[os.write(w, tokens):]
+        finally:
+            os.close(w)
+        for _ in range(1, k):
+            children.append(_fork_share(fn, name, seed, n, queue, size))
+        records = _pull(fn, name, seed, n, queue, size)
         for _, src in children:
             blobs.append(src.read())
     except Exception:  # a sample raised, or fork or a pipe failed
         records = None
     finally:
+        if queue is not None:
+            os.close(queue)
         unread = len(blobs) < len(children)  # a child may still be running
         for pid, src in children:
             src.close()
@@ -1312,7 +1354,7 @@ def _records(name: str, seed: int, n: int, k: int) -> list:
             if os.waitpid(pid, 0)[1] != 0:
                 records = None
     if records is None:
-        return [_sample(fn, name, seed, i) for i in indices]
+        return [_sample(fn, name, seed, i) for i in range(n)]
     for blob in blobs:
         records += marshal.loads(blob)
     records.sort(key=itemgetter(0))

@@ -1,6 +1,7 @@
 """Numeric matrix oracle: frozen crossing conventions and verification suites."""
 
 import ast
+import cmath
 import dataclasses
 import functools
 import inspect
@@ -70,6 +71,65 @@ def _pair(t, r, seed=0):
     return conditioned_pair(t, r, random.Random(seed))
 
 
+# The sampler loops as they were before `_crand` and `_moderate` were inlined,
+# kept verbatim as the reference for the draws they make.
+def _ref_crand(rng, radius=1.5):
+    a, span = -radius, radius - -radius
+    return complex(a + span * rng.random(), a + span * rng.random())
+
+
+def _ref_moderate(a, b, c, d):
+    return abs(a) <= 2.2 and abs(b) <= 2.2 and abs(c) <= 2.2 and abs(d) <= 2.2
+
+
+def _ref_sample_in_Gt(t, rng):
+    for _ in range(oracle._GT_DRAWS):
+        a = _ref_crand(rng)
+        b = _ref_crand(rng)
+        if abs(b) < 1e-3:
+            continue
+        c = (a * (t - a) - 1) / b
+        d = t - a
+        if _ref_moderate(a, b, c, d):
+            return Mat2(a, b, c, d)
+    raise ConditioningError(
+        f"no matrix with trace {complex(t):.4g} and entries of modulus <= 2.2 "
+        f"in {oracle._GT_DRAWS} draws"
+    )
+
+
+def _ref_conditioned_pair(t, r, rng):
+    for _ in range(60):
+        x = _ref_sample_in_Gt(t, rng)
+        a = _ref_crand(rng)
+        # tr(xy) = r with y = [[a, b], [(a(t-a)-1)/b, t-a]]: quadratic in b
+        qa = complex(x.a21)
+        qb = complex(x.a11) * a + complex(x.a22) * (t - a) - r
+        qc = complex(x.a12) * (a * (t - a) - 1)
+        for b in oracle._quad_roots(qa, qb, qc):
+            if abs(b) >= 1e-3:
+                c, d = (a * (t - a) - 1) / b, t - a
+                if _ref_moderate(a, b, c, d):
+                    return x, Mat2(a, b, c, d)
+    raise ConditioningError("could not condition a pair on tr(xy) = r")
+
+
+def _bits(*mats):
+    return [(z.real.hex(), z.imag.hex()) for m in mats for z in map(complex, m.entries())]
+
+
+def _outcome(fn, *args):
+    """(matrix bits or error text, the generator's next draw)."""
+    rng = random.Random(args[-1])
+    try:
+        got = fn(*args[:-1], rng)
+    except ConditioningError as exc:
+        got = str(exc)
+    else:
+        got = _bits(*got) if isinstance(got, tuple) else _bits(got)
+    return got, rng.random().hex()
+
+
 class TestSampling:
     def test_sample_in_Gt(self):
         rng = random.Random(1)
@@ -105,6 +165,29 @@ class TestSampling:
             assert abs(complex(m.trace()) - t) < 1e-12
             assert abs(complex(m.det()) - 1) < 1e-10
         assert time.monotonic() - start < 1.0
+
+    def test_sampler_draws_match_the_reference_loops(self):
+        # 2,400 (t, seed) cases, a third of them with |t| in [2.9, 3.1]
+        gen = random.Random(7)
+        for case in range(2400):
+            if case % 3:
+                t = sample_t(gen)
+            else:
+                t = cmath.rect(gen.uniform(2.9, 3.1), gen.uniform(-math.pi, math.pi))
+            r = _crand(gen, 2.0)
+            seed = gen.getrandbits(32)
+            want = _outcome(_ref_sample_in_Gt, t, seed)
+            assert _outcome(sample_in_Gt, t, seed) == want, (t, seed)
+            want = _outcome(_ref_conditioned_pair, t, r, seed)
+            assert _outcome(conditioned_pair, t, r, seed) == want, (t, r, seed)
+
+    def test_sampler_exhaustion_matches_the_reference_loops(self):
+        want = _outcome(_ref_sample_in_Gt, 5 + 0j, 3)
+        assert want[0].startswith("no matrix with trace")
+        assert _outcome(sample_in_Gt, 5 + 0j, 3) == want
+        want = _outcome(_ref_conditioned_pair, 5 + 0j, 1 + 0j, 3)
+        assert want[0].startswith("no matrix with trace")
+        assert _outcome(conditioned_pair, 5 + 0j, 1 + 0j, 3) == want
 
     def test_sample_in_Gt_rejects_nan_trace(self):
         with pytest.raises(ConditioningError):
@@ -165,6 +248,19 @@ class TestFrozenConventions:
     def test_closure_rejected(self):
         with pytest.raises(DomainError):
             build_tangle_rep(parse("D([2] *v [3])"), 2.5 + 0j, random.Random(0))
+
+    def test_degenerate_builds_name_every_reason(self, monkeypatch):
+        # ten failed attempts: each reason with its count, in first-seen order
+        reasons = iter(["b"] * 3 + ["a"] + ["b"] * 4 + ["c"] * 2)
+
+        def build(*args):
+            raise ConditioningError(next(reasons))
+
+        monkeypatch.setattr(oracle, "_build", build)
+        with pytest.raises(ConditioningError) as info:
+            build_tangle_rep(parse("[2] *v [3]"), 2.5 + 0j, random.Random(0))
+        assert str(info.value) == "tangle build kept degenerating: b (x7); a (x1); c (x2)"
+        assert next(reasons, None) is None
 
 
 class TestQuadruples:
@@ -340,25 +436,89 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    """Descriptors open in this process, or None where /proc cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
 def _report_text(rep):
     return json.dumps(rep.to_json())  # keeps key order, floats exactly
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestShares:
-    """A suite's samples split into shares, sample i in share i % k: share 0
-    runs in the calling process, the others in forked children.  These call
-    the share runner with k set, so they fork on a 1-CPU machine too."""
+    """A suite's samples run in k shares that pull them from one queue:
+    share 0 runs in the calling process, the others in forked children, and
+    which share runs a sample depends on timing.  These call the share
+    runner with k set, so they fork on a 1-CPU machine too."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_report_same_for_every_share_count(self, name, seed):
         n = {"presentation": 8, "pretzel": 12}.get(name, 20)
         want = _report_text(oracle._run_shares(name, n, seed, RESIDUAL_TOL, 1))
+        fds = _open_fds()
         for k in (2, 3):
             got = _report_text(oracle._run_shares(name, n, seed, RESIDUAL_TOL, k))
             assert got == want, k
             _no_child_left()
+            assert _open_fds() == fds
+
+    def test_idle_share_takes_the_remaining_samples(self, monkeypatch, tmp_path):
+        # sample 0 is slow: whichever share takes it, the other one pulls
+        # every later sample meanwhile (a split i % 2 would run the odd ones)
+        n = 12
+        draws = _draw_keys("fake", 0, n)
+
+        def suite(rng):
+            sample, _ = draws[rng.random()]
+            if sample == 0:
+                time.sleep(0.5)
+            (tmp_path / str(sample)).write_text(str(os.getpid()))
+            return 0.0
+
+        monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        fds = _open_fds()
+        assert oracle._run_shares("fake", n, 0, RESIDUAL_TOL, 2).passed
+        _no_child_left()
+        assert _open_fds() == fds
+        pids = [(tmp_path / str(i)).read_text() for i in range(n)]
+        assert set(pids[1:]) == {pids[1]}
+        assert pids[1] != pids[0]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [5000, 5003])
+    def test_blocks_past_the_token_budget(self, monkeypatch, tmp_path, n, k):
+        # 5,000 samples need blocks of 5 per 4-byte token to fit in 4 KiB,
+        # and 5,003 a short last block; each (sample, attempt) runs once, and
+        # the report is the serial one
+        draws = {
+            random.Random(f"fake:0:{i}:{a}").random(): (i, a) for i in range(n) for a in (0, 1)
+        }
+
+        def suite(rng):
+            sample, attempt = draws[rng.random()]
+            os.write(log, f"{sample} {attempt}\n".encode())
+            if attempt == 0 and sample % 7 == 3:
+                raise ConditioningError(f"r{sample % 3}")
+            return sample * 1e-16
+
+        monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        runs = []
+        for shares in (1, k):
+            path = tmp_path / f"log{shares}"
+            log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                runs.append(_report_text(oracle._run_shares("fake", n, 0, RESIDUAL_TOL, shares)))
+            finally:
+                os.close(log)
+            _no_child_left()
+            ran = path.read_text().splitlines()
+            assert len(ran) == len(set(ran)) == n + len(range(3, n, 7))
+        assert runs[1] == runs[0]
 
     def test_reasons_merge_in_sample_order(self, monkeypatch):
         # sample 1 is rejected for "x" and sample 2 for "y": "x" is counted
@@ -379,7 +539,7 @@ class TestShares:
 
     def test_sample_error_raises_as_a_serial_run(self, monkeypatch):
         # samples 3 and 4 raise; a serial run meets sample 3 first, while with
-        # two shares this process meets sample 4 and a child sample 3
+        # shares either one may be met first, here or in a child
         draws = _draw_keys("fake", 0, 6)
 
         def suite(rng):
@@ -403,11 +563,13 @@ class TestShares:
             raise ValueError("sample 0")
 
         monkeypatch.setitem(oracle._SUITES, "fake", suite)
+        fds = _open_fds()
         start = time.monotonic()
         with pytest.raises(ValueError, match="^sample 0$"):
             oracle._run_shares("fake", 4, 0, RESIDUAL_TOL, 3)
         assert time.monotonic() - start < 10
         _no_child_left()
+        assert _open_fds() == fds
 
     @pytest.mark.parametrize("how", ["raise", "kill"])
     def test_failed_child_is_run_again_here(self, monkeypatch, how):
@@ -426,9 +588,11 @@ class TestShares:
 
         monkeypatch.setitem(oracle._SUITES, "fake", suite)
         want = _report_text(oracle._run_shares("fake", 7, 0, RESIDUAL_TOL, 1))
+        fds = _open_fds()
         for k in (2, 3):
             assert _report_text(oracle._run_shares("fake", 7, 0, RESIDUAL_TOL, k)) == want
             _no_child_left()
+            assert _open_fds() == fds
 
     def test_nan_residual_fails_its_sample(self, monkeypatch):
         draws = _draw_keys("fake", 0, 4)
