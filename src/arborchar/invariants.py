@@ -27,11 +27,10 @@ from .tangle import (
     CompH,
     CompV,
     IntTwist,
-    Rational,
     TangleExpr,
     VertTwist,
     component_count,
-    expand_rational,
+    expand_rational,  # noqa: F401  (unused here; perfbench/spans.py wraps it)
 )
 
 __all__ = [
@@ -382,8 +381,6 @@ class InvariantEngine:
         self.atom_vars: list[str] = []  # variable per twist atom, DFS order
 
     def run(self, expr: TangleExpr) -> InvariantData:
-        if isinstance(expr, Rational):
-            return self.run(expand_rational(expr.ks))
         if isinstance(expr, (IntTwist, VertTwist)):
             data = base_invariants(expr, f"r{len(self.atom_vars) + 1}")
             self.atom_vars.append(data.vars[0])
@@ -435,8 +432,6 @@ def closure_equations(c: ClosureExpr, engine: InvariantEngine | None = None) -> 
             f"closure has {n} components; this engine handles knots only"
         )
     body = c.body
-    if isinstance(body, Rational):
-        body = expand_rational(body.ks)
     want = CompV if c.kind == "D" else CompH
     if not isinstance(body, want):
         raise StructureError(

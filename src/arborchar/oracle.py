@@ -51,10 +51,9 @@ from .tangle import (
     CompH,
     CompV,
     IntTwist,
-    Rational,
     TangleExpr,
     VertTwist,
-    expand_rational,
+    expand_rational,  # noqa: F401  (unused here; perfbench/spans.py wraps it)
     parse,
 )
 
@@ -459,8 +458,6 @@ def _build(
     same nodes at nearby values passes one map to all of them, so each knob
     follows one branch of solutions.
     """
-    if isinstance(expr, Rational):
-        expr = expand_rational(expr.ks)
     rng = random.Random(f"build:{seed}")
     if isinstance(expr, (IntTwist, VertTwist)):
         own = "udot" if isinstance(expr, IntTwist) else "u"
@@ -862,16 +859,22 @@ def _suite_base(rng: random.Random) -> float:
             exp_ud = complex(data.udot.eval_numeric(pt))
             exp_uc = complex(data.ucheck.eval_numeric(pt))
             scale = max(abs(exp_u), abs(exp_ud), abs(exp_uc), 1.0)
-            mscale = max(m.norm() for m in (rep.x_nw, rep.x_ne, rep.x_sw, rep.x_se)) ** 2
             res = _worst(
                 res,
                 abs(rep.u() - exp_u) / scale,
                 abs(rep.udot() - exp_ud) / scale,
                 abs(rep.ucheck() - exp_uc) / scale,
-                _rel(rep.boundary_residual(), mscale),
-                _rel(abs(trace_of_product(rep.x_nw, rep.x_sw) - rep.udot()), mscale),
+                *_end_residuals(rep),
             )
     return res
+
+
+def _end_residuals(rep: TangleRep) -> tuple[float, float]:
+    """x_nw x_ne x_se x_sw = 1 and tr(x_nw x_sw) = u-dot, each relative to
+    the largest end matrix's norm squared, the scale of their rounding."""
+    scale = max(m.norm() for m in (rep.x_nw, rep.x_ne, rep.x_sw, rep.x_se)) ** 2
+    trace = abs(trace_of_product(rep.x_nw, rep.x_sw) - rep.udot())
+    return _rel(rep.boundary_residual(), scale), _rel(trace, scale)
 
 
 def _suite_compose(rng: random.Random) -> float:
@@ -940,8 +943,6 @@ def _closure_rep(c: ClosureExpr, rng: random.Random):
     """Newton search (over t and the shared coordinate) for a representation
     of the closed-up diagram, using the trace form of the closure condition."""
     body = c.body
-    if isinstance(body, Rational):
-        body = expand_rational(body.ks)
     direction = "v" if c.kind == "D" else "h"
     shared = "u" if direction == "v" else "udot"
     sl, sr = rng.getrandbits(48), rng.getrandbits(48)
@@ -999,9 +1000,7 @@ def _suite_presentation(rng: random.Random) -> float:
     res = 0.0
     for eq in equations:
         res = _worst(res, abs(eq(point)) / eq.scale)
-    res = _worst(res, _rel(rep.boundary_residual(), 1.0))
-    res = _worst(res, _rel(abs(trace_of_product(rep.x_nw, rep.x_sw) - rep.udot()), 1.0))
-    return res
+    return _worst(res, *_end_residuals(rep))
 
 
 @functools.lru_cache(maxsize=1)

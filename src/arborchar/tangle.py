@@ -1,6 +1,10 @@
 """Tangle expressions: grammar, parser, printer, continued fractions,
 rational-tangle expansion, and component counts by tangle parity.
 
+The parser reads a rational tangle [[k1],...,[ks]] as its twist chain
+(``expand_rational``), so a tree has four node kinds and no later stage a
+rational-tangle case.
+
 Grammar (whitespace between tokens is ignored, also inside "[[", "],[",
 "]]", "[1/", "*v", "*h", "D(" and "N("; not inside an integer)::
 
@@ -8,6 +12,7 @@ Grammar (whitespace between tokens is ignored, also inside "[[", "],[",
     tangle := atom | tangle ("*v" | "*h") tangle      (left-associative)
     atom   := "[" int "]" | "[1/" int "]"
             | "[[" int ("],[" int)* "]]" | "(" tangle ")"
+    int    := ["+" | "-"] ("0" | "1" | ... | "9")+      (ASCII digits only)
 
 Ends of a tangle are labeled nw, ne, sw, se, and its strands join them in
 pairs.  The pairing is the tangle's parity in {0, 1, INF} (nw joined to ne,
@@ -46,13 +51,6 @@ class VertTwist(_Record):
     k: int
 
 
-class Rational(_Record):
-    """[[k1],...,[ks]] — a rational tangle given by its twist vector."""
-
-    __slots__ = ("ks",)
-    ks: tuple[int, ...]
-
-
 class CompV(_Record):
     """Vertical composition: right factor placed below the left one."""
 
@@ -69,7 +67,7 @@ class CompH(_Record):
     right: "TangleExpr"
 
 
-TangleExpr = Union[IntTwist, VertTwist, Rational, CompV, CompH]
+TangleExpr = Union[IntTwist, VertTwist, CompV, CompH]
 
 
 class ClosureExpr(_Record):
@@ -81,10 +79,10 @@ class ClosureExpr(_Record):
 
 
 #: Deepest expression accepted by ``parse``.  A composition adds one level
-#: to the deeper of its factors, a rational tangle [[k1],...,[ks]] counts as
-#: its s-atom expansion, and parentheses may not nest deeper either.  The
-#: parser, connectivity, engine and printer recurse once or twice per
-#: level, so this keeps every stage well inside Python's recursion limit.
+#: to the deeper of its factors, so a rational tangle [[k1],...,[ks]] has s
+#: levels, and parentheses may not nest deeper either.  The parser,
+#: connectivity, engine and printer recurse once or twice per level, so
+#: this keeps every stage well inside Python's recursion limit.
 MAX_DEPTH = 200
 
 #: Largest crossing count |k| of a twist region the invariant engine takes.
@@ -93,11 +91,6 @@ MAX_DEPTH = 200
 #: emits in about a second and D([400] *v [1/3]) in about five.  Component
 #: counts come from parity and take any count.
 MAX_TWIST = 200
-
-
-def _check_twist(k: int, pos: int) -> None:
-    if k == 0:
-        raise TangleParseError("twist parameter must be nonzero", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +126,23 @@ class _Parser:
             self.skip_ws()
             raise TangleParseError(f"expected {token!r}", self.i)
 
-    def parse_int(self) -> int:
+    def parse_twist(self, pos: int | None = None) -> int:
+        """A nonzero integer; a zero is reported at pos, by default where
+        the integer starts."""
         self.skip_ws()
         j = self.i
         if j < len(self.text) and self.text[j] in "+-":
             j += 1
         k = j
-        while k < len(self.text) and self.text[k].isdigit():
+        while k < len(self.text) and "0" <= self.text[k] <= "9":
             k += 1
         if k == j:
             raise TangleParseError("expected an integer", self.i)
         val = int(self.text[self.i:k])
+        if val == 0:
+            raise TangleParseError(
+                "twist parameter must be nonzero", self.i if pos is None else pos
+            )
         self.i = k
         return val
 
@@ -186,29 +185,21 @@ class _Parser:
             self.nesting -= 1
             return node
         if self.accept("[["):
-            ks = [self._rational_entry()]
+            ks = [self.parse_twist()]
             while self.accept("],["):
-                ks.append(self._rational_entry())
+                if len(ks) == MAX_DEPTH:
+                    raise TangleParseError(
+                        f"expression deeper than {MAX_DEPTH} levels", start
+                    )
+                ks.append(self.parse_twist())
             self.expect("]]")
-            return Rational(tuple(ks))
-        if self.accept("[1/"):
-            k = self.parse_int()
-            _check_twist(k, start)
-            self.expect("]")
-            return VertTwist(k)
-        if self.accept("["):
-            k = self.parse_int()
-            _check_twist(k, start)
-            self.expect("]")
-            return IntTwist(k)
+            return expand_rational(ks)
+        for token, twist in (("[1/", VertTwist), ("[", IntTwist)):
+            if self.accept(token):
+                k = self.parse_twist(start)
+                self.expect("]")
+                return twist(k)
         raise TangleParseError("expected a tangle atom", start)
-
-    def _rational_entry(self) -> int:
-        self.skip_ws()
-        pos = self.i
-        k = self.parse_int()
-        _check_twist(k, pos)
-        return k
 
 
 def parse(text: str) -> ClosureExpr | TangleExpr:
@@ -222,16 +213,13 @@ def parse(text: str) -> ClosureExpr | TangleExpr:
 
 
 def tree_depth(expr: ClosureExpr | TangleExpr) -> int:
-    """Levels of the expression tree, a rational tangle counting as its
-    expansion; iterative, so any depth can be measured."""
+    """Levels of the expression tree; iterative, so any depth can be measured."""
     deepest = 0
     stack = [(expr.body if isinstance(expr, ClosureExpr) else expr, 1)]
     while stack:
         e, level = stack.pop()
         if isinstance(e, (CompV, CompH)):
             stack += ((e.left, level + 1), (e.right, level + 1))
-        elif isinstance(e, Rational):
-            deepest = max(deepest, level + len(e.ks) - 1)
         else:
             deepest = max(deepest, level)
     return deepest
@@ -249,8 +237,6 @@ def _print_tangle(e: TangleExpr) -> str:
         return f"[{e.k}]"
     if isinstance(e, VertTwist):
         return f"[1/{e.k}]"
-    if isinstance(e, Rational):
-        return "[[" + "],[".join(str(k) for k in e.ks) + "]]"
     op = " *v " if isinstance(e, CompV) else " *h "
     # left-associative: the left child never needs parentheses, the right
     # child does whenever it is itself a composition
@@ -259,33 +245,6 @@ def _print_tangle(e: TangleExpr) -> str:
     if isinstance(e.right, (CompV, CompH)):
         right = f"({right})"
     return left + op + right
-
-
-def to_json(expr: ClosureExpr | TangleExpr) -> dict:
-    if isinstance(expr, ClosureExpr):
-        return {"node": expr.kind, "children": [to_json(expr.body)]}
-    if isinstance(expr, IntTwist):
-        return {"node": "int_twist", "k": expr.k}
-    if isinstance(expr, VertTwist):
-        return {"node": "vert_twist", "k": expr.k}
-    if isinstance(expr, Rational):
-        return {"node": "rational", "ks": list(expr.ks)}
-    name = "comp_v" if isinstance(expr, CompV) else "comp_h"
-    return {"node": name, "children": [to_json(expr.left), to_json(expr.right)]}
-
-
-def from_json(data: dict) -> ClosureExpr | TangleExpr:
-    node = data["node"]
-    if node in ("D", "N"):
-        return ClosureExpr(node, from_json(data["children"][0]))
-    if node == "int_twist":
-        return IntTwist(data["k"])
-    if node == "vert_twist":
-        return VertTwist(data["k"])
-    if node == "rational":
-        return Rational(tuple(data["ks"]))
-    cls = CompV if node == "comp_v" else CompH
-    return cls(from_json(data["children"][0]), from_json(data["children"][1]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +309,12 @@ def parity(expr: TangleExpr) -> tuple[int, int]:
 
     Horizontal composition adds parities mod 2 with INF absorbing, and
     INF *h INF closes a loop; vertical composition is the same rule with 0
-    and INF swapped, so 0 *v 0 closes a loop.  A rational tangle has the
-    parity of its expansion and no loops.
+    and INF swapped, so 0 *v 0 closes a loop.
     """
     if isinstance(expr, IntTwist):
         return expr.k % 2, 0
     if isinstance(expr, VertTwist):
         return INF - expr.k % 2, 0
-    if isinstance(expr, Rational):
-        return parity(expand_rational(expr.ks))
     (a, loops_a), (b, loops_b) = parity(expr.left), parity(expr.right)
     vertical = isinstance(expr, CompV)
     if vertical:

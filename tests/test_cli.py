@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import arborchar
-from arborchar import cli, oracle, witness
+from arborchar import cli, oracle, ratfun, witness
 from arborchar.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, build_parser, main
 from arborchar.tangle import MAX_DEPTH, MAX_TWIST
 
@@ -74,6 +74,34 @@ class TestEmit:
 
     def test_supported_link_shape(self, capsys):
         assert _run(["emit", "--link", "D([3] *v [3] *v [3] *v [3])"]) == EXIT_OK
+
+    def test_link_shape_through_one_entry_rational_tangle(self, capsys):
+        # [[3]] is the twist [3], so the link payload differs only in the
+        # expression it records
+        payloads = []
+        for expr in ("D([[3]] *v [3] *v [3] *v [3])", "D([3] *v [3] *v [3] *v [3])"):
+            assert _run(["emit", "--format", "json", "--link", expr]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["provenance"].pop("expression") == expr
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize(
+        "argv, position",
+        [(["emit", "D([²] *v [1/2])"], 3), (["components", "D([[1],[²]] *v [1/2])"], 8)],
+        ids=["emit", "components"],
+    )
+    def test_non_ascii_digit_is_an_input_error(self, argv, position, capsys):
+        assert _run(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: expected an integer (at position {position})")
+
+    def test_huge_twist_vector_is_an_input_error(self, capsys):
+        expr = "D([[" + "],[".join(["1"] * 100_000) + "]] *v [1/2])"
+        start = time.perf_counter()
+        assert _run(["emit", expr]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1.0
+        assert f"deeper than {MAX_DEPTH}" in capsys.readouterr().err
 
     def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
         dest = tmp_path / "missing" / "x.json"
@@ -133,6 +161,30 @@ def _perfbench_constant(filename: str, name: str):
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name:
             return ast.literal_eval(node.value)
     raise LookupError(f"{name} not found in {filename}")
+
+
+def _perfbench_package_names(filename: str) -> set[tuple[str, str]]:
+    """(module, name) for every package name perfbench/FILENAME imports,
+    and for every attribute it reads off an imported package module."""
+    path = Path(arborchar.__file__).resolve().parents[2] / "perfbench" / filename
+    tree = ast.parse(path.read_text())
+    names, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("arborchar"):
+            for alias in node.names:
+                if node.module == "arborchar":  # a submodule
+                    modules[alias.asname or alias.name] = f"arborchar.{alias.name}"
+                else:
+                    names.add((node.module, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("arborchar.") and alias.asname:
+                    modules[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add((modules[node.value.id], node.attr))
+    return names
 
 
 def _bench_witness_args() -> list[str]:
@@ -248,11 +300,50 @@ class TestImportGraph:
         assert "locale" not in loaded
 
     def test_traced_names_resolve(self):
-        """Every (module, attribute) the benchmark's tracer rebinds exists."""
+        """Every (module, attribute) the benchmark's tracer rebinds, every
+        kernel method it wraps and every package name the benchmark's
+        microbenches and child use exists."""
         functions = _perfbench_constant("spans.py", "_FUNCTIONS")
         assert ("cli", "run_suite", "oracle") in functions
         for module, attr, _layer in functions:
             assert callable(getattr(importlib.import_module(f"arborchar.{module}"), attr))
+        methods = dict(_perfbench_constant("spans.py", "_METHODS"))
+        assert {"subs_poly", "eval"} <= set(methods["MultiPoly"])
+        assert "eval_numeric" in methods["RatFun"]
+        for cls_name, names in methods.items():
+            cls = getattr(ratfun, cls_name)
+            for name in names:
+                assert callable(getattr(cls, name)), (cls_name, name)
+        used = _perfbench_package_names("micro.py") | _perfbench_package_names("child.py")
+        assert {("arborchar.ratfun", "REGISTRY"), ("arborchar.oracle", "build_tangle_rep"),
+                ("arborchar.mat2", "special"), ("arborchar.cli", "main")} <= used
+        for module, name in used:
+            assert hasattr(importlib.import_module(module), name), (module, name)
+        # micro.py reads the registry's size and a variable's position
+        assert len(ratfun.REGISTRY) >= 1 and ratfun.REGISTRY.index("t") >= 0
+
+    def test_traced_run_records_spans(self, tmp_path):
+        """With the benchmark's tracer installed, a traced emit and a traced
+        verify exit 0 and record spans in every layer they run."""
+        perfbench = Path(arborchar.__file__).resolve().parents[2] / "perfbench"
+        out = tmp_path / "montesinos.json"
+        done = _python_fresh("-c", f"""
+import json, sys
+sys.path.insert(0, {str(perfbench)!r})
+import spans
+from arborchar import cli
+rec = spans.Recorder()
+spans.install(rec)
+expr = "D([[2],[3]] *v [[3],[2]] *v [1/2])"
+assert cli.main(["emit", "--format", "json", "--out", {str(out)!r}, expr]) == 0
+assert cli.main(["verify", "--suite", "presentation", "--samples", "1"]) == 0
+print(json.dumps(sorted({{name for name, *_ in rec.spans}})))
+""")
+        assert done.returncode == 0, done.stderr
+        names = set(json.loads(done.stdout.splitlines()[-1]))
+        assert {"tangle.parse", "invariants.closure_equations", "invariants.run",
+                "oracle.run_suite", "ratfun.MultiPoly.__mul__"} <= names
+        assert json.loads(out.read_text())["variables"][0] == "t"
 
     def test_suite_names_match_the_oracle(self):
         assert tuple(oracle._SUITES) == arborchar.SUITE_NAMES
@@ -270,35 +361,34 @@ def _well_formed_argvs(out: str) -> list[list[str]]:
     ]
 
 
-def _run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
-    """``python -m arborchar ARGV`` in a fresh interpreter, killed after 60 s."""
+def _python_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that finds the package,
+    killed after 60 s."""
     env = dict(os.environ)
     src = str(Path(arborchar.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "arborchar", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def _run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m arborchar ARGV`` in a fresh interpreter, killed after 60 s."""
+    return _python_fresh("-m", "arborchar", *argv)
 
 
 def _modules_after(argvs: list[list[str]]) -> set[str]:
     """The modules a fresh interpreter has loaded after importing the CLI
     and running each argv through cli.main, every one of which must
     succeed."""
-    script = f"""
+    done = _python_fresh("-c", f"""
 import json, sys
 from arborchar import cli
 for argv in {argvs!r}:
     code = cli.main(argv)
     assert code == cli.EXIT_OK, code
 print(json.dumps(sorted(sys.modules)))
-"""
-    env = dict(os.environ)
-    src = str(Path(arborchar.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+""")
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
 
@@ -368,6 +458,12 @@ class TestVerify:
         code = _run(["verify", "--suite", "identities", "--samples", "2", "--out", str(dest)])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: cannot write {dest}")
+
+    def test_presentation_seed3_passes(self, capsys):
+        # seed 3 reaches end matrices of norm up to 73, whose products round
+        # past 1e-9 in absolute terms
+        assert _run(["verify", "--suite", "presentation", "--seed", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("presentation: pass")
 
     def test_tolerance_flag(self, capsys):
         # an absurdly tight tolerance forces failures, a loose one passes

@@ -35,9 +35,7 @@ from arborchar.tangle import (
     MAX_TWIST,
     CompV,
     IntTwist,
-    Rational,
     VertTwist,
-    expand_rational,
     parse,
 )
 from ratfun_helpers import reduce_by, reference_truediv
@@ -195,8 +193,6 @@ class TestCompose:
         steps = []
 
         def walk(expr):  # the engine's depth-first order, with each node's inputs
-            if isinstance(expr, Rational):
-                return walk(expand_rational(expr.ks))
             if isinstance(expr, (IntTwist, VertTwist)):
                 return next(records)
             I1, I2 = walk(expr.left), walk(expr.right)
@@ -328,8 +324,6 @@ def _layout(rec: InvariantData) -> tuple:
 
 def _twist_atoms(expr) -> list:
     """The twist atoms of a tangle, in the order an engine runs them."""
-    if isinstance(expr, Rational):
-        expr = expand_rational(expr.ks)
     if isinstance(expr, (IntTwist, VertTwist)):
         return [expr]
     return _twist_atoms(expr.left) + _twist_atoms(expr.right)
@@ -392,7 +386,7 @@ class TestTwistRecordCache:
 
     @pytest.mark.parametrize(
         "atom",
-        [CompV(IntTwist(2), IntTwist(3)), Rational((2, 3)), IntTwist(0), VertTwist(0),
+        [CompV(IntTwist(2), IntTwist(3)), IntTwist(0), VertTwist(0),
          IntTwist(MAX_TWIST + 1), VertTwist(-MAX_TWIST - 1)],
         ids=repr,
     )

@@ -1034,3 +1034,19 @@ class TestPresentationSuite:
             oracle._corpus_presentation.cache_clear()
         assert rep.passed, rep.failures
         assert len(calls) == len(set(calls)) <= len(oracle._PRESENTATION_CORPUS)
+
+    def test_perturbed_end_matrix_fails(self, monkeypatch):
+        # the end checks are relative to the end matrices' norm squared;
+        # one entry of x_se off by 1e-6 relative must still fail
+        real = oracle._closure_rep
+
+        def perturbed(c, rng):
+            rep, t = real(c, rng)
+            m = rep.x_se
+            bad = Mat2(m.a11 * (1 + 1e-6), m.a12, m.a21, m.a22)
+            return dataclasses.replace(rep, x_se=bad), t
+
+        monkeypatch.setattr(oracle, "_closure_rep", perturbed)
+        for seed in (0, 3):
+            rep = run_suite("presentation", seed=seed)
+            assert not rep.passed and rep.max_residual > 1e-7, seed

@@ -15,16 +15,13 @@ from arborchar.tangle import (
     CompH,
     CompV,
     IntTwist,
-    Rational,
     VertTwist,
     component_count,
     continued_fraction,
     expand_rational,
-    from_json,
     parity,
     parse,
     print_expr,
-    to_json,
     tree_depth,
 )
 
@@ -35,7 +32,10 @@ class TestParser:
         assert parse("[-2]") == IntTwist(-2)
         assert parse("[1/4]") == VertTwist(4)
         assert parse("[1/-4]") == VertTwist(-4)
-        assert parse("[[2],[-3],[1]]") == Rational((2, -3, 1))
+        # a rational tangle is read as its twist chain
+        assert parse("[[2],[-3],[1]]") == expand_rational((2, -3, 1))
+        assert parse("[[3]]") == parse("[3]") == IntTwist(3)
+        assert parse("D([[-2]] *v [1/2])") == parse("D([-2] *v [1/2])")
 
     def test_compositions_left_associative(self):
         e = parse("[1] *v [2] *h [3]")
@@ -78,7 +78,9 @@ class TestParser:
         assert 0 <= position < len(bad)
 
     def test_errors_carry_position(self):
-        for bad in ("", "[0]", "[1/0]", "[2] *v", "D([2]", "[2] junk", "[[2],[0]]"):
+        # integers are ASCII digits only: "²" and "١" are not integers
+        for bad in ("", "[0]", "[1/0]", "[2] *v", "D([2]", "[2] junk", "[[2],[0]]",
+                    "[²]", "[[1],[²]]", "[1/١]", "[1٠]"):
             with pytest.raises(TangleParseError):
                 parse(bad)
         try:
@@ -98,10 +100,6 @@ class TestParser:
             e = parse(text)
             assert parse(print_expr(e)) == e
 
-    def test_json_round_trip(self):
-        e = parse("D([[2],[-2]] *v [2] *v ([1/3] *h [1/2]))")
-        assert from_json(to_json(e)) == e
-
     def test_tree_depth(self):
         assert tree_depth(parse("[3]")) == 1
         assert tree_depth(parse("D(([3]))")) == 1
@@ -118,7 +116,8 @@ class TestParser:
 
         assert tree_depth(parse(rational(MAX_DEPTH))) == MAX_DEPTH
         assert parse(nested(MAX_DEPTH)) == IntTwist(1)
-        for bad in (rational(MAX_DEPTH + 1), nested(MAX_DEPTH + 1)):
+        # a long twist vector is refused as it is read, before its chain is built
+        for bad in (rational(MAX_DEPTH + 1), rational(100_000), nested(MAX_DEPTH + 1)):
             with pytest.raises(TangleParseError, match=f"deeper than {MAX_DEPTH}"):
                 parse(bad)
 
@@ -130,7 +129,6 @@ class TestRecords:
         assert repr(parse("D([1/1] *v [1/2])")) == (
             "ClosureExpr(kind='D', body=CompV(left=VertTwist(k=1), right=VertTwist(k=2)))"
         )
-        assert repr(Rational((2, -3))) == "Rational(ks=(2, -3))"
 
     def test_equality_needs_the_same_class(self):
         a, b = IntTwist(1), VertTwist(2)
@@ -239,7 +237,7 @@ class TestConnectivity:
             except TangleParseError:
                 continue
             checked += 1
-            body = Rational(ks)
+            body = expand_rational(ks)
             assert component_count(ClosureExpr("N", body)) == 2 - frac.numerator % 2, ks
             assert component_count(ClosureExpr("D", body)) == 2 - frac.denominator % 2, ks
         assert checked > 400
