@@ -6,10 +6,11 @@ which the exact engine imports without this module; `ChebyshevPair` and
 `chebyshev` are re-exported here.  Of the CLI's subcommands only `verify`
 and `witness` load this module.
 
-One Mat2 class serves two scalar backends: exact Fractions (golden-value
-tests) and double-precision complex numbers (Monte-Carlo sampling).  All
-constructors keep det = 1 identically, so exact inputs give exact
-unimodular output.
+One Mat2 class serves three scalar backends: exact Fractions (golden-value
+tests), GF(p) elements `ModP` (the `pretzel` suite) and complex doubles
+(Monte-Carlo sampling).  All constructors keep det = 1 identically, so exact
+inputs give exact unimodular output; over GF(p) only those that do not halve
+run (`d`, `h1`, `h2`, `u_*`), and the float helpers take no GF(p) entries.
 
 The complex backend is the oracle's inner loop, so Mat2 is a plain
 ``__slots__`` class rather than a frozen dataclass, and the scalar helpers
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,17 +51,78 @@ EIGENVECTOR_TOL = 1e-5
 CONDITION_FLOOR = 1e-6
 
 
+class ModP:
+    """The element ``v`` in range(p) of the prime field GF(p), read-only by
+    convention.  Ints mix in as residues; elements of another GF(q), floats,
+    complex numbers and Fractions are refused.  Unhashable, as it equals ints."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int) -> None:
+        self.v = v % p
+        self.p = p
+
+    def _residue(self, o: object) -> int | None:  # None: o does not mix in
+        if type(o) is ModP:
+            if o.p != self.p:
+                raise DomainError(f"GF({self.p}) and GF({o.p}) elements do not mix")
+            return o.v
+        return o if type(o) is int else None
+
+    def _lift(op):
+        def method(self, o):
+            v = self._residue(o)
+            return NotImplemented if v is None else ModP(op(self.v, v), self.p)
+        return method
+
+    __add__ = __radd__ = _lift(operator.add)
+    __sub__ = _lift(operator.sub)
+    __rsub__ = _lift(lambda a, b: b - a)
+    __mul__ = __rmul__ = _lift(operator.mul)
+
+    def __truediv__(self, o: object) -> "ModP":
+        v = self._residue(o)
+        return NotImplemented if v is None else self * ModP(v, self.p).inv()
+
+    def __rtruediv__(self, o: object) -> "ModP":
+        return self.inv() * o
+
+    def __neg__(self) -> "ModP":
+        return ModP(-self.v, self.p)
+
+    def __pow__(self, n: int) -> "ModP":
+        return ModP(pow(self.v, n, self.p), self.p) if n >= 0 else self.inv() ** -n
+
+    def inv(self) -> "ModP":
+        if not self.v:
+            raise DomainError(f"inverse of 0 in GF({self.p})")
+        return ModP(pow(self.v, -1, self.p), self.p)
+
+    def __eq__(self, o: object) -> bool:
+        v = self._residue(o)
+        return NotImplemented if v is None else self.v == v % self.p
+
+    def __bool__(self) -> bool:
+        return self.v != 0
+
+    def __int__(self) -> int:
+        return self.v
+
+    def __repr__(self) -> str:
+        return f"ModP({self.v}, {self.p})"
+
+
 def _is_exact(x: Number) -> bool:
     if type(x) is complex or type(x) is float:
         return False
-    return isinstance(x, (int, Fraction))
+    return isinstance(x, (int, Fraction, ModP))
 
 
 def _inv(x: Number) -> Number:
     if type(x) is not complex and _is_exact(x):
         if x == 0:
             raise DomainError("exact division by zero")
-        return Fraction(1) / Fraction(x)
+        return x.inv() if type(x) is ModP else Fraction(1) / Fraction(x)
     return 1.0 / x
 
 
@@ -180,10 +243,7 @@ class Mat2:
 
     def in_G(self) -> bool:
         """Unimodularity check: |det - 1| <= TOL (exact equality if exact)."""
-        d = self.det()
-        if _is_exact(d):
-            return d == 1
-        return abs(complex(d) - 1) <= TOL
+        return _near(self.det(), 1)
 
     def to_complex(self) -> "Mat2":
         return Mat2(*(complex(x) for x in self.entries()))
@@ -192,9 +252,11 @@ class Mat2:
 IDENTITY = Mat2.identity()
 
 
-def trace_of_product(x: Mat2, y: Mat2) -> complex:
-    """tr(x @ y) from the two diagonal entries of the product."""
-    return complex((x.a11 * y.a11 + x.a12 * y.a21) + (x.a21 * y.a12 + x.a22 * y.a22))
+def trace_of_product(x: Mat2, y: Mat2) -> complex | ModP:
+    """tr(x @ y) from the two diagonal entries of the product: a GF(p)
+    element for GF(p) entries, else a complex number."""
+    tr = (x.a11 * y.a11 + x.a12 * y.a21) + (x.a21 * y.a12 + x.a22 * y.a22)
+    return tr if type(tr) is ModP else complex(tr)
 
 
 # ---------------------------------------------------------------------------

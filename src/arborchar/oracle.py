@@ -1,11 +1,13 @@
 """Monte-Carlo verification of every symbolic formula against matrices.
 
-Two independent pillars:
+Three independent pillars:
 
 * explicit crossing-by-crossing builds of tangle representations (random
   strand matrices propagated through the over-strand conjugation rule,
-  composite tangles glued by numerically solved conjugators), and
-* direct samplers for the h/k matrix families.
+  composite tangles glued by numerically solved conjugators),
+* direct samplers for the h/k matrix families, and
+* exact checks over a prime field F_p (the `pretzel` suite): every identity
+  at a point of the (3,3,3,3) pretzel link's variety, with no tolerance.
 
 Each suite draws per-sample RNG streams keyed by (suite, seed, index), so
 runs are reproducible and order-independent, and `run_suite` spreads a
@@ -35,6 +37,7 @@ from .invariants import Presentation, base_invariants, closure_equations
 from .mat2 import (
     IDENTITY,
     Mat2,
+    ModP,
     cayley_power,
     chebyshev,  # noqa: F401  (unused here; perfbench/spans.py wraps oracle.chebyshev)
     closed_trace,
@@ -539,62 +542,24 @@ def _nonzero(rng: random.Random) -> complex:
             return z
 
 
-# the cube roots of unity; Cardano's formula turns one cube root into three
-_OMEGA = complex(-0.5, 3**0.5 / 2)
-_UNITY = (1, _OMEGA, _OMEGA.conjugate())
-
-
-def _cubic_family(a: complex, b: complex):
-    """The roots of the monic cubic x^3 + a x^2 + b x + c as a function of c.
-
-    Cardano's formula on the depressed cubic y^3 + p y + q, x = y - a/3,
-    taking the square-root branch that avoids cancellation in -q/2 +- s;
-    each root is then polished by one Newton step on the original cubic.
-    The terms that do not depend on c are computed once, here.
-    """
-    p = b - a * a / 3
-    k = (2 * a * a - 9 * b) * a / 27  # q = k + c
-    p3 = p * p * p / 27
-    a3, a2 = a / 3, 2 * a
-
-    def roots(c: complex) -> list[complex]:
-        q = k + c
-        s = cmath.sqrt(q * q / 4 + p3)
-        h = -q / 2
-        w = max(h + s, h - s, key=abs)
-        u = w ** (1 / 3)
-        if u:
-            ys = [u * z - p / (3 * u * z) for z in _UNITY]
-        else:  # p = q = 0: a triple root
-            ys = [0j, 0j, 0j]
-        out = []
-        for y in ys:
-            x = y - a3
-            d = (3 * x + a2) * x + b
-            if d:
-                x -= (((x + a) * x + b) * x + c) / d
-            out.append(x)
-        return out
-
-    return roots
-
-
 class _NumericPoly:
-    """A polynomial compiled once for numeric evaluation.
+    """A polynomial compiled once for evaluation over C or over F_p.
 
     ``names`` holds its variables and ``scale`` the largest coefficient
     modulus, at least 1.  Calling it at a point (a map from variable name
-    to value) gives the polynomial's value there.
+    to value) gives the polynomial's value there: a complex number, or,
+    given a prime ``p``, the residue in range(p) of its value at a point of
+    ints or `ModP` elements.
 
     The variables are split into two halves, and each term into its parts
     over them, the coefficient going with the second.  The polynomial is
     the sum, over first parts f, of f times the sum of the second parts
     that go with f.  A call builds each half's distinct parts from
-    per-variable power tables in C-level ``map`` calls, and adds both
-    levels of sums with ``math.fsum``, which rounds each sum once.  At
-    points of the pretzel link's variety the terms of its large equation
-    are up to about 10^6 times its coefficient scale and cancel, so these
-    exact sums leave only the rounding of the parts in the residual.
+    per-variable power tables in C-level ``map`` calls.  Over C it adds
+    both levels of sums with ``math.fsum``, which rounds each sum once, so
+    only the rounding of the parts is left.  Over F_p the parts are ints,
+    the coefficients scaled by their common denominator, and the sums are
+    exact integer sums reduced mod p once.
     """
 
     def __init__(self, poly) -> None:
@@ -613,28 +578,38 @@ class _NumericPoly:
             key = (tuple([powers.get(name, 0) for name in second]), coef)
             run = runs.setdefault(tuple([powers.get(name, 0) for name in first]), [])
             run.append(seconds.setdefault(key, len(seconds)))
-        # one getter per first part, for its second parts and a final 0.0,
+        # one getter per first part, for its second parts and a final 0,
         # which keeps the result a tuple for a single second part
         self._gets = [itemgetter(*run, len(seconds)) for run in runs.values()]
-        # per half: the start values, and (name, top power, column) per variable
-        self._groups = [
-            (starts, [(name, max(col), col) for name, col in zip(names, zip(*exps))])
-            for names, starts, exps in (
-                (first, [1 + 0j] * len(runs), runs),
-                (second, [complex(c) for _, c in seconds], [e for e, _ in seconds]),
-            )
+        # per half: (name, top power, column) per variable
+        self._columns = [
+            [(name, max(col), col) for name, col in zip(names, zip(*exps))]
+            for names, exps in ((first, runs), (second, [e for e, _ in seconds]))
         ]
-        self.scale = max([1.0, *map(abs, self._groups[1][0])])
+        # per half, the start values over C and over the integers
+        coefs = [c for _, c in seconds]
+        self._den = math.lcm(1, *(c.denominator for c in coefs))
+        self._starts = ([1 + 0j] * len(runs), [complex(c) for c in coefs])
+        self._int_starts = ([1] * len(runs), [int(c * self._den) for c in coefs])
+        self.scale = max([1.0, *map(abs, self._starts[1])])
 
-    def __call__(self, point) -> complex:
+    def __call__(self, point, p: int | None = None) -> complex | int:
+        if p is None:
+            starts, one, value = self._starts, 1 + 0j, complex
+        else:
+            starts, one, value = self._int_starts, 1, lambda x: int(x) % p
         parts = []
-        for values, columns in self._groups:
+        for values, columns in zip(starts, self._columns):
             for name, top, col in columns:
-                v = complex(point[name])
-                powers = list(itertools.accumulate(itertools.repeat(v, top), mul, initial=1 + 0j))
+                v = value(point[name])
+                powers = list(itertools.accumulate(itertools.repeat(v, top), mul, initial=one))
                 values = list(map(mul, values, map(powers.__getitem__, col)))
             parts.append(values)
         left, right = parts
+        if p is not None:
+            right = [*right, 0]
+            total = sum(map(mul, left, [sum(get(right)) for get in self._gets]))
+            return total * pow(self._den, -1, p) % p
         reals = [*map(attrgetter("real"), right), 0.0]
         imags = [*map(attrgetter("imag"), right), 0.0]
         sums = [complex(math.fsum(get(reals)), math.fsum(get(imags))) for get in self._gets]
@@ -820,7 +795,7 @@ def _suite_key2(rng: random.Random) -> float:
     # +p through the sign trick
     f1, f2 = sample_with_product(special("p"), t1, t2, rng)
     rep = decompose_pair(f1, f2, t1, t2)
-    res = _worst(res, 0.0 if rep.sign_flipped else 1.0, _pair_error(f1, f2, rep))
+    res = _worst(res, 0.0 if rep.sign_flipped else math.inf, _pair_error(f1, f2, rep))
     return _rel(res, 10.0)
 
 
@@ -842,7 +817,7 @@ def _suite_reducible(rng: random.Random) -> float:
         a1, a2 = conditioned_pair(t1, r, rng)
     flag = is_reducible(a1, a2)
     eig = has_common_eigenvector(a1, a2)
-    return 0.0 if flag == eig else 1.0
+    return 0.0 if flag == eig else math.inf
 
 
 def _suite_base(rng: random.Random) -> float:
@@ -1012,152 +987,75 @@ def _pretzel_pres() -> tuple[tuple[_NumericPoly, ...], tuple[_NumericPoly, ...]]
     return tuple(map(_NumericPoly, pres.equations)), tuple(map(_NumericPoly, pres.exclusions))
 
 
-#: most Newton steps one pretzel lam search takes from its start
-_LAM_STEPS = 30
-
-#: a Newton step moves lam by at most this fraction of |lam|: far out,
-#: log prod rho grows only like log |lam|, so a full step would be about
-#: |lam| log |lam| long and overshoot
-_LAM_STEP_CAP = 0.5
-
-#: |log prod rho| at which a lam search has found a variety point
-_LAM_TOL = 1e-12
-
-#: most Newton steps that carry one cubic root to the next lam
-_ROOT_STEPS = 8
-
-#: starts of a pretzel lam search, each from its own drawn lam, per attempt
-_LAM_STARTS = 25
+#: the prime of the field the pretzel suite works in
+_PRIME = 101
 
 
-def _polish_root(r: complex, a: complex, b: complex, c: complex) -> tuple[complex, complex]:
-    """The root of x^3 + a x^2 + b x + c that Newton's method reaches from r,
-    and the cubic's derivative there.
-
-    Newton stops once the residual is at the rounding level of the cubic's
-    terms; ConditioningError if it meets a zero derivative or has not
-    stopped after _ROOT_STEPS steps."""
-    za, zb, zc = abs(a), abs(b), abs(c)
-    for _ in range(_ROOT_STEPS):
-        d = (3 * r + 2 * a) * r + b
-        if not d:
-            raise ConditioningError("tracked cubic root at a zero of the derivative")
-        p = ((r + a) * r + b) * r + c
-        z = abs(r)
-        if abs(p) <= 12 * 2.0**-52 * (((z + za) * z + zb) * z + zc):
-            return r, d
-        r -= p / d
-    raise ConditioningError("tracked cubic root did not converge")
+def _rho_numerator(t1, t2, lam, li, r):
+    """N(r) of the pretzel's mu-ratio rho = N(r) / delta(lam), li = 1/lam."""
+    return (lam - li) * (r * r + (li - t1 * t2) * r - 2) + lam * (t1 * t1 + t2 * t2) - 2 * t1 * t2
 
 
-def _rho_numerator(t1: complex, t2: complex, lam: complex, r: complex):
-    """N(r) of the pretzel's mu-ratio rho = N(r) / delta(lam), with its
-    partial derivatives in lam and in r."""
-    li = 1 / lam
-    ld, lb = lam - li, li - t1 * t2
-    q = r * r + lb * r - 2
-    s12 = t1 * t1 + t2 * t2
-    n = ld * q + lam * s12 - 2 * t1 * t2
-    return n, (1 + li * li) * q - ld * li * li * r + s12, ld * (2 * r + lb)
+def _variety_point(t1: int, t2: int, picks: list[int]) -> tuple[int, list[int]]:
+    """A point (lam, [r_1, .., r_4]) of the pretzel link's variety over F_p,
+    p = _PRIME, with prod N(r_i) = delta^4 and delta, tau^2 - 4 nonzero.
 
-
-def _pretzel_point(t1: complex, t2: complex, picks: list[int], rng: random.Random):
-    """A point (lam, [r_1, .., r_4]) of the pretzel link's variety: each r_i
-    the cubic's root number picks[i] (sorted by (real, imag)) at a drawn lam,
-    carried along lam, and prod N(r_i) / delta = 1.
-
-    From each of _LAM_STARTS drawn starts this runs Newton's method on
-    log prod rho, which is zero exactly where the product is 1, with the
-    derivative of each root from the cubic (path tracking; Allgower and
-    Georg, Introduction to Numerical Continuation Methods, 2003).  Every
-    root is polished at every lam.  lam = +-1 solves prod rho = 1 on every
-    branch, so a search that drifts there is abandoned, as is a point with
-    delta or tau^2 - 4 too small to realize."""
+    Each r in F_p solves the cubic r^3 + a r^2 + b r + a + tau = 0 at one
+    tau, so one pass over F_p buckets the roots by tau.  The scan takes
+    lam = 2, .., p - 2 in turn, and r_i as root number picks[i] (mod the
+    bucket's size) of the bucket at tau = lam + 1/lam."""
+    p = _PRIME
     a, b = -t1 * t2, t1 * t1 + t2 * t2 - 3
-    cubic = _cubic_family(a, b)
-    for _ in range(_LAM_STARTS):
-        lam = _sample_lam(rng, t1)
-        try:
-            roots = sorted(cubic(a + lam + 1 / lam), key=lambda z: (z.real, z.imag))
-            tracked = {p: roots[p] for p in picks}  # the distinct picked roots
-            for _ in range(_LAM_STEPS):
-                if min(abs(lam - 1), abs(lam + 1), abs(lam)) < 0.04:
-                    raise ConditioningError("lam drifted to a degenerate value")
-                li = 1 / lam
-                tau = lam + li
-                dl = complex(delta_two_trace(t1, t2, lam))
-                ddl = (1 - li * li) * t1 * t2 - 2 * (lam - li) * (1 + li * li)
-                # N and dN/dlam per root; the cubic moves with tau, so
-                # dr/dlam = -(1 - 1/lam^2) / C'(r)
-                terms = {}
-                for p, r in tracked.items():
-                    tracked[p], dc = _polish_root(r, a, b, a + tau)
-                    n, dn_lam, dn_r = _rho_numerator(t1, t2, lam, tracked[p])
-                    terms[p] = n, dn_lam - dn_r * (1 - li * li) / dc
-                prod = math.prod(terms[p][0] for p in picks)
-                if not (prod and dl):
-                    raise ConditioningError("prod rho is zero or infinite")
-                g = cmath.log(prod / dl**4)
-                if abs(g) < _LAM_TOL:
-                    if abs(dl) > 0.05 and abs(tau * tau - 4) > 0.05:
-                        return lam, [tracked[p] for p in picks]
-                    break
-                dg = sum(terms[p][1] / terms[p][0] for p in picks) - 4 * ddl / dl
-                if not dg:
-                    raise ConditioningError("log prod rho has a zero derivative")
-                step = -g / dg
-                if abs(step) > _LAM_STEP_CAP * abs(lam):
-                    step *= _LAM_STEP_CAP * abs(lam) / abs(step)
-                lam += step
-        except ConditioningError:
-            pass
-    raise ConditioningError("no pretzel variety point found")
+    roots: list[list[int]] = [[] for _ in range(p)]  # tau -> its roots, ascending
+    for r in range(p):
+        roots[-(((r + a) * r + b) * r + a) % p].append(r)
+    for lam in range(2, p - 1):
+        li = pow(lam, -1, p)
+        tau = (lam + li) % p
+        dl = (tau * t1 * t2 - t1 * t1 - t2 * t2 - tau * tau + 4) % p
+        bucket = roots[tau]
+        if bucket and dl:
+            rs = [bucket[k % len(bucket)] for k in picks]
+            if math.prod(_rho_numerator(t1, t2, lam, li, r) for r in rs) % p == pow(dl, 4, p):
+                return lam, rs
+    raise ConditioningError("no pretzel variety point over F_p")
 
 
 def _suite_pretzel(rng: random.Random) -> float:
-    t1 = sample_t(rng)
-    t2 = sample_t(rng)
+    """0.0 if a point of the pretzel link's variety over F_p passes every
+    check exactly, else math.inf."""
+    p = _PRIME
+    t1, t2 = rng.randrange(p), rng.randrange(p)
     picks = [rng.randrange(3) for _ in range(4)]
-    lam, rs = _pretzel_point(t1, t2, picks, rng)
-    tau = lam + 1 / lam
-    dl = complex(delta_two_trace(t1, t2, lam))
-    nums = [_rho_numerator(t1, t2, lam, r)[0] for r in rs]
+    lam, rs = _variety_point(t1, t2, picks)
+    t1, t2, lam, *rs = (ModP(x, p) for x in (t1, t2, lam, *rs))
+    li = 1 / lam
+    tau = lam + li
+    dl = delta_two_trace(t1, t2, lam)
 
-    # realize the point by explicit matrices and re-measure everything
-    mus = [1.0 + 0j]
-    for i in range(3):
-        mus.append(mus[-1] * dl / nums[i])
-    xs = []
-    for i, mu in enumerate(mus):
-        if i % 2 == 0:
-            nw = special("h2", t1, t2, lam, -lam * mu)
-            ne = special("h2", t2, t1, lam, mu)
-        else:
-            nw = special("h2", t2, t1, lam, -lam * mu)
-            ne = special("h2", t1, t2, lam, mu)
-        xs.append((nw, ne))
-    res = 0.0
-    for i in range(4):
-        nw, ne = xs[i]
-        nw_n, ne_n = xs[(i + 1) % 4]
-        res = _worst(res, _rel((nw @ ne - special("d", lam)).norm(), 1.0))
-        r_meas = trace_of_product(ne_n.inv(), ne)
-        res = _worst(res, _rel(abs(r_meas - rs[i]), abs(rs[i])))
-        uc_meas = trace_of_product(ne_n.inv(), nw) - trace_of_product(nw_n.inv(), ne)
-        two_form = 2 * rs[i] ** 2 + (tau - 2 * t1 * t2) * rs[i] + t1 * t1 + t2 * t2 - 4
-        res = _worst(res, _rel(abs(uc_meas - two_form), abs(two_form)))
+    # realize the point by explicit matrices and re-measure everything; the
+    # point is regular, so only a wrong formula makes a matrix singular
+    try:
+        xs, mu = [], ModP(1, p)
+        for i in range(4):
+            a, b = (t1, t2) if i % 2 == 0 else (t2, t1)
+            xs.append((special("h2", a, b, lam, -lam * mu), special("h2", b, a, lam, mu)))
+            mu = mu * dl / _rho_numerator(t1, t2, lam, li, rs[i])
+        ok = True
+        for i in range(4):
+            (nw, ne), (nw_n, ne_n) = xs[i], xs[(i + 1) % 4]
+            ok = ok and nw @ ne == special("d", lam)
+            ok = ok and trace_of_product(ne_n.inv(), ne) == rs[i]
+            uc_meas = trace_of_product(ne_n.inv(), nw) - trace_of_product(nw_n.inv(), ne)
+            two_form = 2 * rs[i] ** 2 + (tau - 2 * t1 * t2) * rs[i] + t1 * t1 + t2 * t2 - 4
+            ok = ok and uc_meas == two_form
+    except DomainError:
+        return math.inf
 
     equations, exclusions = _pretzel_pres()
-    point = {
-        "t1": t1, "t2": t2, "tau": tau, "lam": lam,
-        "r1": rs[0], "r2": rs[1], "r3": rs[2], "r4": rs[3],
-    }
-    for eq in equations:
-        res = _worst(res, abs(eq(point)) / max(eq.scale, abs(dl) ** 4))
-    for ex in exclusions:
-        if abs(ex(point)) < 1e-8:
-            res = _worst(res, 1.0)
-    return res
+    point = dict(zip(("t1", "t2", "tau", "lam", "r1", "r2", "r3", "r4"), (t1, t2, tau, lam, *rs)))
+    ok = ok and not any(eq(point, p) for eq in equations) and all(ex(point, p) for ex in exclusions)
+    return 0.0 if ok else math.inf
 
 
 _SUITES = {

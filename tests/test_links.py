@@ -1,7 +1,14 @@
 """Two-component engine: odd-twist triples, h-parameter ratios, pretzel presentations."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import arborchar
 from arborchar.errors import DomainError, UnsupportedShapeError, WrongEngineError
 from arborchar.links import (
     delta,
@@ -120,3 +127,46 @@ class TestPretzelPresentation:
     def test_supported_shape(self):
         pres = link_presentation(parse("D([3] *v [3] *v [3] *v [3])"))
         assert len(pres.equations) == 6
+
+
+# one-token mutations of the link formulas, each of which the pretzel
+# suite must catch: (name, the text in links.py, its replacement)
+_MUTATIONS = [
+    ("mu-ratio-sign", ") - 2 * t1 * t2", ") + 2 * t1 * t2"),
+    ("delta-constant", "- w * w + 4", "- w * w + 3"),
+    ("twist-sign", "- w - RatFun", "+ w - RatFun"),
+    ("eigenvalue-sign", "lam * lam - tau * lam + 1", "lam * lam + tau * lam + 1"),
+]
+
+
+class TestMutationGate:
+    """`verify --suite pretzel --seed 0` in a fresh process, on a copy of
+    the package with one token of `links.py` changed, exits 4 (a failed
+    check)."""
+
+    @staticmethod
+    def _verify_copy(tmp_path: Path, old: str | None = None, new: str = "") -> int:
+        package = tmp_path / "arborchar"
+        shutil.copytree(
+            Path(arborchar.__file__).parent, package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        if old is not None:
+            links = package / "links.py"
+            text = links.read_text()
+            assert text.count(old) == 1
+            links.write_text(text.replace(old, new))
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        done = subprocess.run(
+            [sys.executable, "-m", "arborchar", "verify", "--suite", "pretzel", "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert "Traceback" not in done.stderr, done.stderr
+        return done.returncode
+
+    def test_unchanged_copy_passes(self, tmp_path):
+        assert self._verify_copy(tmp_path) == 0
+
+    @pytest.mark.parametrize("old, new", [m[1:] for m in _MUTATIONS], ids=[m[0] for m in _MUTATIONS])
+    def test_mutation_fails(self, tmp_path, old, new):
+        assert self._verify_copy(tmp_path, old, new) == 4

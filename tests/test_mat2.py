@@ -15,6 +15,7 @@ from arborchar.errors import ClassificationError, DomainError, GenericityError
 from arborchar.mat2 import (
     IDENTITY,
     Mat2,
+    ModP,
     _is_exact,
     cayley_power,
     chebyshev,
@@ -24,6 +25,7 @@ from arborchar.mat2 import (
     has_common_eigenvector,
     is_reducible,
     special,
+    trace_of_product,
 )
 
 
@@ -174,6 +176,67 @@ def test_mat2_entries_are_written_only_in_init():
             allowed = set(range(init.lineno, init.end_lineno + 1))
         found += [f"{path.name}:{line}" for line in _entry_writes(tree) if line not in allowed]
     assert found == []
+
+
+class TestModP:
+    P = 101
+
+    def test_field_operations(self):
+        p = self.P
+        a, b = ModP(7, p), ModP(-3, p)
+        assert (a.v, b.v) == (7, 98)
+        assert a + b == 4 and a - b == 10 and a * b == -21
+        assert 1 - a == -6 and 2 * a == 14 and a + 100 == 6 and -a == 94
+        assert a / b * b == a and 1 / a * a == 1
+        assert a ** 100 == 1  # Fermat
+        assert a ** -1 == a.inv() and a.inv() * 7 == 1
+        assert a == 108 and a != 8 and ModP(0, p) == 0
+        assert not ModP(p, p) and ModP(1, p)
+        assert int(b) == 98 and repr(b) == "ModP(98, 101)"
+
+    def test_every_inverse(self):
+        p = self.P
+        assert all(ModP(v, p) * ModP(v, p).inv() == 1 for v in range(1, p))
+
+    def test_zero_has_no_inverse(self):
+        for fails in (lambda: ModP(0, 5).inv(), lambda: 1 / ModP(5, 5), lambda: ModP(0, 5) ** -1):
+            with pytest.raises(DomainError):
+                fails()
+
+    def test_mixed_moduli_are_refused(self):
+        a, b = ModP(2, 5), ModP(2, 7)
+        for fails in (lambda: a + b, lambda: a * b, lambda: a / b, lambda: a == b):
+            with pytest.raises(DomainError):
+                fails()
+
+    def test_other_scalars_do_not_mix(self):
+        a = ModP(2, 5)
+        for other in (0.5, 1j, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                a + other
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_special_matrices_over_the_field(self):
+        p = self.P
+        t1, t2, lam, mu = (ModP(v, p) for v in (3, 40, 5, 17))
+        h = special("h2", t1, t2, lam, mu)
+        g = special("h2", t2, t1, lam, -lam * mu)
+        d = special("d", lam)
+        assert all(type(x) is ModP for x in h.entries())
+        assert h.det() == 1 and d.det() == 1 and h.in_G()
+        assert h.trace() == t1 and g @ h == d
+        assert h.inv() @ h == IDENTITY
+        tr = trace_of_product(h, g)
+        assert type(tr) is ModP and tr == (h @ g).trace()
+        li = 1 / lam
+        assert delta_two_trace(t1, t2, lam) == (lam + li) * t1 * t2 - t1 * t1 - t2 * t2 - (lam - li) ** 2
+        with pytest.raises(DomainError):
+            special("h2", t1, t2, ModP(p - 1, p), mu)  # lam = -1
+        with pytest.raises(DomainError):
+            special("h2", t1, t2, lam, ModP(0, p))
+        with pytest.raises(DomainError):
+            Mat2(ModP(1, p), ModP(2, p), ModP(3, p), ModP(6, p)).inv()
 
 
 class TestSpecial:

@@ -26,7 +26,7 @@ from arborchar import RESIDUAL_TOL
 from arborchar.errors import ConditioningError, DomainError
 from arborchar.invariants import alpha, base_invariants, closure_equations
 from arborchar.links import pretzel3333_presentation
-from arborchar.mat2 import Mat2, special
+from arborchar.mat2 import Mat2, ModP, special
 from arborchar.oracle import (
     SUITE_NAMES,
     _PRESENTATION_CORPUS,
@@ -36,7 +36,6 @@ from arborchar.oracle import (
     _alpha_preimages,
     _closure_rep,
     _crand,
-    _cubic_family,
     _sample_lam,
     _null_vector,
     _secant,
@@ -365,6 +364,25 @@ class TestSuites:
         assert not rep.passed
         assert rep.failures[0]["sample"] == 0 and rep.max_residual > rep.tol
 
+    def test_missing_sign_flip_fails_at_any_tol(self, monkeypatch):
+        # a failed exact check scores math.inf, which no --tol absorbs
+        real = oracle.decompose_pair
+
+        def unflipped(*args):
+            return dataclasses.replace(real(*args), sign_flipped=False)
+
+        monkeypatch.setattr(oracle, "decompose_pair", unflipped)
+        rep = run_suite("key2", samples=20, tol=10.0)
+        assert [f["sample"] for f in rep.failures] == list(range(20))
+        assert rep.max_residual == math.inf
+
+    def test_wrong_reducibility_verdict_fails_at_any_tol(self, monkeypatch):
+        real = oracle.is_reducible
+        monkeypatch.setattr(oracle, "is_reducible", lambda a1, a2: not real(a1, a2))
+        rep = run_suite("reducible", samples=20, tol=10.0)
+        assert [f["sample"] for f in rep.failures] == list(range(20))
+        assert all(f["residual"] == math.inf for f in rep.failures)
+
     def test_changed_pretzel_coefficient_fails(self, monkeypatch):
         # the compiled equations still catch a wrong one: one coefficient of
         # the large equation raised by 1
@@ -378,7 +396,7 @@ class TestSuites:
         exclusions = tuple(map(_NumericPoly, pres.exclusions))
         monkeypatch.setattr(oracle, "_pretzel_pres", lambda: (equations, exclusions))
         rep = run_suite("pretzel", samples=5)
-        assert not rep.passed and rep.max_residual > 1.0
+        assert not rep.passed and rep.max_residual == math.inf
 
     def test_library_has_no_assert(self):
         # checks must hold under python -O and end as counted failures
@@ -406,11 +424,12 @@ class TestSuites:
         assert len(calls) == len(set(calls)) == 16
 
     def test_pretzel_rejections_pinned(self):
-        # every rejection comes from the lam search along the tracked roots
+        # every rejection is a lam scan over F_p that found no point
         rep = run_suite("pretzel", seed=0)
         assert rep.passed, rep.failures
-        assert rep.rejected == 39
-        assert rep.rejected_by_reason == {"no pretzel variety point found": 39}
+        assert rep.max_residual == 0.0
+        assert rep.rejected == 25
+        assert rep.rejected_by_reason == {"no pretzel variety point over F_p": 25}
 
     def test_worst_keeps_a_nan_in_any_position(self):
         assert oracle._worst(0.0, 2.0, 1.0) == 2.0
@@ -629,144 +648,68 @@ class TestShares:
         assert oracle._share_count(500) == 1
 
 
-def _cubic_roots(a, b, c):
-    return _cubic_family(a, b)(c)
-
-
-def _cubic_value(x, a, b, c):
-    return ((x + a) * x + b) * x + c
-
-
-def _same_multiset(xs, ys, tol):
-    return min(
-        max(abs(x - y) for x, y in zip(xs, perm)) for perm in itertools.permutations(ys)
-    ) < tol
-
-
-class TestCubicRoots:
-    def _check(self, a, b, c):
-        roots = _cubic_roots(a, b, c)
-        assert all(type(x) is complex for x in roots)
-        ref = [complex(z) for z in np.roots([1, a, b, c])]
-        assert _same_multiset(roots, ref, 1e-9), (roots, ref)
-        bound = 1e-10 * max(1.0, abs(a), abs(b), abs(c))
-        assert max(abs(_cubic_value(x, a, b, c)) for x in roots) < bound
-        # each root solves the cubic to rounding at the size of its terms
-        for x in roots:
-            terms = abs(x) ** 3 + abs(a * x * x) + abs(b * x) + abs(c)
-            assert abs(_cubic_value(x, a, b, c)) <= 1e-14 * terms, x
-
-    def test_random_cubics_match_numpy(self):
-        rng = random.Random(5)
-        for _ in range(1000):
-            a, b, c = (_crand(rng, 4.0) for _ in range(3))
-            self._check(a, b, c)
-
-    def test_pretzel_family(self):
-        rng = random.Random(6)
-        for _ in range(200):
-            t1, t2 = sample_t(rng), sample_t(rng)
-            lam = _sample_lam(rng, t1)
-            tau = lam + 1 / lam
-            self._check(-t1 * t2, t1 * t1 + t2 * t2 - 3, -t1 * t2 + tau)
-
-    def test_near_double_root(self):
-        r1, r2, r3 = 1 + 0.5j, 1 + 0.5j + 1e-5, -2 + 0j
-        a = -(r1 + r2 + r3)
-        b = r1 * r2 + r1 * r3 + r2 * r3
-        c = -r1 * r2 * r3
-        self._check(a, b, c)
-        assert _same_multiset(_cubic_roots(a, b, c), [r1, r2, r3], 1e-9)
-
-    @pytest.mark.parametrize("b, c", [(1e-7, 1.0), (-3e-8, 2j), (1e4, 1e-3)])
-    def test_cancellation(self, b, c):
-        # a tiny p makes one square-root branch cancel to nothing; a large
-        # one makes Cardano's small root cancel, which the Newton step repairs
-        self._check(0j, complex(b), complex(c))
-
-    def test_triple_root(self):
-        assert _cubic_roots(0j, 0j, 0j) == [0j, 0j, 0j]
-        self._check(0j, 0j, 0j)
-
-
-def _pretzel_cubic(t1, t2, lam):
-    """(a, b, c) of the pretzel suite's cubic x^3 + a x^2 + b x + c at lam,
-    with c = a + tau rounded as the suite rounds it."""
-    a = -t1 * t2
-    return a, t1 * t1 + t2 * t2 - 3, a + (lam + 1 / lam)
+def _pretzel_cubic(r, t1, t2, tau):
+    """The pretzel suite's cubic at r, mod the suite's prime."""
+    return (r**3 - t1 * t2 * r * r + (t1 * t1 + t2 * t2 - 3) * r - t1 * t2 + tau) % oracle._PRIME
 
 
 class TestPretzelSearch:
     def test_lam_plus_minus_one_solves_every_branch(self):
         # there N(r) no longer depends on r and equals -lam delta, so every
         # rho is -lam and prod rho = 1 whichever roots are picked: the
-        # reason a search that drifts to lam = +-1 is abandoned
-        rng = random.Random(3)
-        for _ in range(20):
-            t1, t2 = sample_t(rng), sample_t(rng)
-            for lam in (1 + 0j, -1 + 0j):
-                a, b, c = _pretzel_cubic(t1, t2, lam)
-                roots = _cubic_family(a, b)(c)
-                dl = complex(oracle.delta_two_trace(t1, t2, lam))
-                rhos = [oracle._rho_numerator(t1, t2, lam, r)[0] / dl for r in roots]
-                assert max(abs(rho + lam) for rho in rhos) < 1e-12
-                for picks in itertools.product(range(3), repeat=4):
-                    assert abs(math.prod(rhos[p] for p in picks) - 1) < 1e-12
+        # reason the lam scan skips lam = +-1
+        p = oracle._PRIME
+        for t1, t2 in itertools.product(range(0, p, 7), repeat=2):
+            for lam in (1, p - 1):
+                tau = 2 * lam
+                dl = tau * t1 * t2 - t1 * t1 - t2 * t2 - tau * tau + 4
+                for r in range(p):
+                    assert (oracle._rho_numerator(t1, t2, lam, lam, r) + lam * dl) % p == 0
 
     def test_accepted_points_solve_the_cubic(self, monkeypatch):
         found = []
-        real = oracle._pretzel_point
+        real = oracle._variety_point
 
-        def recording(t1, t2, picks, rng):
-            lam, rs = real(t1, t2, picks, rng)
+        def recording(t1, t2, picks):
+            lam, rs = real(t1, t2, picks)
             found.append((t1, t2, lam, rs))
             return lam, rs
 
-        monkeypatch.setattr(oracle, "_pretzel_point", recording)
+        monkeypatch.setattr(oracle, "_variety_point", recording)
         rep = oracle._run_shares("pretzel", 60, 0, RESIDUAL_TOL, 1)
         assert rep.passed and len(found) == 60
+        p = oracle._PRIME
         for t1, t2, lam, rs in found:
-            a, b, c = _pretzel_cubic(t1, t2, lam)
-            for r in rs:
-                terms = abs(r) ** 3 + abs(a * r * r) + abs(b * r) + abs(c)
-                assert abs(_cubic_value(r, a, b, c)) <= 12 * 2.0**-52 * terms
-            tau = lam + 1 / lam
-            assert abs(oracle.delta_two_trace(t1, t2, lam)) > 0.05
-            assert abs(tau * tau - 4) > 0.05
+            li = pow(lam, -1, p)
+            tau = (lam + li) % p
+            dl = (tau * t1 * t2 - t1 * t1 - t2 * t2 - tau * tau + 4) % p
+            assert all(_pretzel_cubic(r, t1, t2, tau) == 0 for r in rs)
+            prod = math.prod(oracle._rho_numerator(t1, t2, lam, li, r) for r in rs)
+            assert (prod - dl**4) % p == 0
+            assert dl != 0 and (tau * tau - 4) % p != 0
 
     def test_shifted_root_is_a_counted_failure(self, monkeypatch):
-        # the realized matrices re-measure every root, so a root that is
-        # off by 1e-6 fails its sample; it is not rejected and redrawn
-        real = oracle._pretzel_point
+        # the realized matrices re-measure every root, so r1 + 1 fails its
+        # sample; it is not rejected and redrawn
+        real = oracle._variety_point
         want = run_suite("pretzel", samples=3)
 
         def shifted(*args):
             lam, rs = real(*args)
-            return lam, [rs[0] + 1e-6, *rs[1:]]
+            return lam, [(rs[0] + 1) % oracle._PRIME, *rs[1:]]
 
-        monkeypatch.setattr(oracle, "_pretzel_point", shifted)
+        monkeypatch.setattr(oracle, "_variety_point", shifted)
         rep = run_suite("pretzel", samples=3)
-        assert [f["sample"] for f in rep.failures] == [0, 1, 2]
-        assert all(1e-9 < f["residual"] < 1 for f in rep.failures)
+        assert rep.failures == [{"sample": i, "residual": math.inf} for i in range(3)]
         assert rep.rejected == want.rejected
 
-    def test_polish_reaches_rounding_level(self):
-        a, b, c = _pretzel_cubic(1.1 + 0.3j, -0.7 + 0.9j, 0.8 - 0.4j)
-        for root in _cubic_family(a, b)(c):
-            r, d = oracle._polish_root(root + 1e-3, a, b, c)
-            terms = abs(r) ** 3 + abs(a * r * r) + abs(b * r) + abs(c)
-            assert abs(_cubic_value(r, a, b, c)) <= 12 * 2.0**-52 * terms
-            assert d == (3 * r + 2 * a) * r + b
-
-    def test_polish_rejects_a_zero_derivative(self):
-        # x^3 + 1 from r = 0, where its derivative vanishes
-        with pytest.raises(ConditioningError, match="zero of the derivative"):
-            oracle._polish_root(0j, 0j, 0j, 1 + 0j)
-
-    def test_polish_rejects_a_slow_root(self):
-        # Newton converges only linearly to the triple root of x^3
-        with pytest.raises(ConditioningError, match="did not converge"):
-            oracle._polish_root(1 + 0j, 0j, 0j, 0j)
+    def test_singular_realization_is_a_counted_failure(self, monkeypatch):
+        # the point is regular, so a matrix that is singular there (here
+        # from a zero delta, hence a zero h-parameter) fails its sample
+        # instead of ending the run with a DomainError
+        monkeypatch.setattr(oracle, "delta_two_trace", lambda t1, t2, lam: 0 * lam)
+        rep = run_suite("pretzel", samples=3)
+        assert rep.failures == [{"sample": i, "residual": math.inf} for i in range(3)]
 
 
 class TestNumericPoly:
@@ -804,10 +747,31 @@ class TestNumericPoly:
             assert got.imag == 0
             assert abs(Fraction(got.real) - want) <= Fraction(1e-14) * size
 
+    @pytest.mark.parametrize("text", ("pretzel (3,3,3,3) link",) + _PRESENTATION_CORPUS)
+    def test_mod_p_matches_exact_evaluation(self, text):
+        if text in _PRESENTATION_CORPUS:
+            pres = closure_equations(parse(text))
+        else:
+            pres = pretzel3333_presentation()
+        p = oracle._PRIME
+        rng = random.Random(text)
+        for poly in pres.equations + pres.exclusions:
+            compiled = _NumericPoly(poly)
+            for _ in range(3):
+                point = {name: rng.randrange(-300, 300) for name in compiled.names}
+                want = Fraction(poly.eval(point))
+                residue = want.numerator * pow(want.denominator, -1, p) % p
+                assert compiled(point, p) == residue, str(poly)[:60]
+                field_point = {name: ModP(v, p) for name, v in point.items()}
+                assert compiled(field_point, p) == residue
+
     def test_constant_polynomial(self):
         assert _NumericPoly(MultiPoly.const(-3))({}) == -3
         assert _NumericPoly(MultiPoly.const(-3)).scale == 3.0
         assert _NumericPoly(MultiPoly.zero())({}) == 0
+        assert _NumericPoly(MultiPoly.const(-3))({}, 7) == 4
+        assert _NumericPoly(MultiPoly.const(Fraction(1, 2)))({}, 7) == 4
+        assert _NumericPoly(MultiPoly.zero())({}, 7) == 0
 
     def test_oracle_reads_no_term_dict(self):
         # the oracle compiles polynomials by variable name, through
